@@ -350,9 +350,9 @@ def _frac_poly_divmod(a: list[Fraction], b: list[Fraction]):
         b = b[:-1]
     q = [_ZERO] * max(0, len(a) - len(b) + 1)
     for k in range(len(q) - 1, -1, -1):
-        c = a[k + len(b) - 1] / b[-1]
-        q[k] = c
-        if c:
+        top = a[k + len(b) - 1]
+        if top:
+            c = q[k] = top / b[-1]
             for i, bc in enumerate(b):
                 a[k + i] -= c * bc
     while a and not a[-1]:

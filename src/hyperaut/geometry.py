@@ -7,21 +7,36 @@ checks that the Jacobian ideal contains every form of degree
 e = (n+2)(d-2)+1: for a smooth hypersurface the partials are a regular
 sequence whose Artinian quotient has socle degree (n+2)(d-2), so the degree-e
 graded piece of the ideal fills up exactly when the hypersurface is smooth
-(characteristic zero).  The surjectivity check is an exact rank computation
-on a sparse matrix over the cyclotomic coefficient field; full rank proves
-smoothness, a rank deficit proves a singular point exists (without naming
-one).
+(characteristic zero).  Full rank of the sparse Macaulay matrix proves
+smoothness; a rank deficit proves that a singular point exists (without
+naming one).  One elimination kernel computes that rank along one of three
+coefficient paths, recorded in the certificate's `path`:
+
+- "rational": every coefficient is rational, and the matrix is eliminated
+  exactly over Q with Fraction entries.  Sound in both directions.
+- "modular": some coefficient is irrational.  With L the lcm of the
+  coefficient levels, zeta_L is sent to an element of order L in F_p for a
+  prime p = 1 (mod L).  A full rank mod p proves full rank in Q(zeta_L),
+  so this path only ever certifies *smooth*.
+- "cyclotomic": the exact elimination over Q(zeta_L) with CycloNum entries,
+  run when the modular rank falls short, a denominator is divisible by p, or
+  the modular fill-in hits its cap.  Sound in both directions.
+
+So every *singular* verdict of the rank test comes from an exact path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, reduce
+from math import isqrt, lcm
 
 from .autgrp import CapExceededError, DiagAut, multiplier
-from .cyclo import CycloNum, rational
-from .poly import HomogPoly, Monomial, monomials_of_degree
+from .cyclo import CycloNum, _frac_poly_divmod, rational
+from .poly import HomogPoly, Monomial, NotSemiInvariantError, monomials_of_degree
 
 DEFAULT_ENTRY_CAP = 200_000
+_MODULAR_FLOOR = 2 ** 29
 
 
 # -- smoothness ----------------------------------------------------------------
@@ -35,6 +50,7 @@ class SmoothnessCertificate:
     reason: str | None = None
     rank: int | None = None
     target_rank: int | None = None
+    path: str | None = None            # "rational" | "modular" | "cyclotomic"
 
     @property
     def is_smooth(self) -> bool:
@@ -63,41 +79,35 @@ def smoothness(F: HomogPoly, entry_cap: int = DEFAULT_ENTRY_CAP) -> SmoothnessCe
 
 
 def _macaulay_certificate(F: HomogPoly, entry_cap: int) -> SmoothnessCertificate:
-    v, d = F.num_vars, F.degree
-    if d < 2:
+    if F.degree < 2:
         return SmoothnessCertificate(
             verdict="smooth", method="macaulay_rank",
             reason="degree below 2, a linear form is smooth",
         )
-    e = v * (d - 2) + 1
-    gdeg = e - (d - 1)
-    partials = [F.partial(i) for i in range(v)]
-    gmons = monomials_of_degree(v, gdeg)
+    partials, gmons, e, target = _macaulay_system(F)
     entries = sum(len(p.terms) for p in partials) * len(gmons)
     if entries > entry_cap:
         return SmoothnessCertificate(
             verdict="inconclusive", method="macaulay_rank",
             reason=f"matrix would hold {entries} entries, cap is {entry_cap}",
         )
-    rows: list[dict[Monomial, CycloNum]] = []
-    for p in partials:
-        if p.is_zero():
-            continue
-        items = list(p.terms.items())
-        for g in gmons:
-            rows.append(
-                {tuple(a + b for a, b in zip(g, m)): c for m, c in items}
-            )
-    target = len(monomials_of_degree(v, e))
+    fill_cap = max(16 * entry_cap, 10 ** 6)
+    coeffs = [c for p in partials for c in p.terms.values()]
+    path = "rational" if all(c.is_rational() for c in coeffs) else "modular"
     try:
-        rank = _sparse_rank(rows, stop_at=target, fill_cap=max(16 * entry_cap, 10 ** 6))
+        rank = _macaulay_rank(partials, gmons, target, path, fill_cap)
+        if path == "modular" and rank != target:
+            path = "cyclotomic"
+            rank = _macaulay_rank(partials, gmons, target, path, fill_cap)
     except CapExceededError as exc:
         return SmoothnessCertificate(
             verdict="inconclusive", method="macaulay_rank", reason=str(exc),
+            path=path,
         )
     if rank == target:
         return SmoothnessCertificate(
             verdict="smooth", method="macaulay_rank", rank=rank, target_rank=target,
+            path=path,
         )
     return SmoothnessCertificate(
         verdict="singular", method="macaulay_rank",
@@ -105,16 +115,108 @@ def _macaulay_certificate(F: HomogPoly, entry_cap: int) -> SmoothnessCertificate
             f"the partial derivatives only span {rank} of the {target} "
             f"degree-{e} forms"
         ),
-        rank=rank, target_rank=target,
+        rank=rank, target_rank=target, path=path,
     )
 
 
-def _sparse_rank(rows, stop_at: int | None = None, fill_cap: int = 10 ** 7) -> int:
-    """Exact rank of a sparse matrix given as row dicts over a field.
+def _macaulay_system(F: HomogPoly):
+    """Partials, multiplier monomials, saturating degree e and the target rank."""
+    v, d = F.num_vars, F.degree
+    e = v * (d - 2) + 1
+    partials = [p for p in (F.partial(i) for i in range(v)) if not p.is_zero()]
+    gmons = monomials_of_degree(v, e - (d - 1))
+    return partials, gmons, e, len(monomials_of_degree(v, e))
 
-    Plain fraction-free-free elimination: rows are reduced against the pivot
-    rows found so far.  Coefficients may be Fraction or CycloNum; both are
-    exact.  Raises CapExceededError if fill-in exceeds fill_cap entries.
+
+def _macaulay_rank(partials, gmons, target: int, path: str, fill_cap: int) -> int | None:
+    """Rank of the Macaulay matrix, stopping at target, along one coefficient path.
+
+    "rational" reads every coefficient as a Fraction, "cyclotomic" keeps the
+    CycloNum values, and "modular" maps them into F_p (see _modular_map).
+    The modular rank is a lower bound for the exact one; it is None when the
+    map does not apply or the elimination hits fill_cap, so a caller can only
+    take a full modular rank as an answer.
+    """
+    if path == "rational":
+        prime, convert = None, lambda c: c.coeffs[0]
+    elif path == "cyclotomic":
+        prime, convert = None, lambda c: c
+    else:
+        prime, convert = _modular_map(
+            [c for p in partials for c in p.terms.values()]
+        )
+    rows: list[dict[Monomial, object]] = []
+    for p in partials:
+        items = [(m, convert(c)) for m, c in p.terms.items()]
+        if any(c is None for _, c in items):
+            return None
+        items = [(m, c) for m, c in items if c]
+        for g in gmons:
+            rows.append(
+                {tuple(a + b for a, b in zip(g, m)): c for m, c in items}
+            )
+    try:
+        return _sparse_rank(rows, stop_at=target, fill_cap=fill_cap, prime=prime)
+    except CapExceededError:
+        if prime is None:
+            raise
+        return None
+
+
+def _modular_map(coeffs):
+    """A prime p and a ring map from the coefficients' field into F_p.
+
+    With L the lcm of the coefficient levels, p is a prime above 2^29 with
+    p = 1 (mod L), so F_p holds an element omega of order L;
+    zeta_L maps to omega and zeta_l to omega^(L/l).  This is a ring map
+    Z[zeta_L] -> F_p, and it extends to every coefficient whose rational
+    coordinates have denominators prime to p; the converter returns None on
+    the others.  A nonzero minor mod p is the image of a nonzero minor.
+    """
+    level = reduce(lcm, (c.level for c in coeffs), 1)
+    p, omega = _prime_with_root(level)
+
+    def convert(c: CycloNum) -> int | None:
+        step = level // c.level
+        total = 0
+        for k, q in enumerate(c.coeffs):
+            if q:
+                if q.denominator % p == 0:
+                    return None
+                total += q.numerator * pow(q.denominator, -1, p) * pow(omega, k * step, p)
+        return total % p
+
+    return p, convert
+
+
+@lru_cache(maxsize=None)
+def _prime_with_root(level: int) -> tuple[int, int]:
+    """(p, omega): a prime p > 2^29 with p = 1 (mod level), omega of order level."""
+    p = (_MODULAR_FLOOR // level + 1) * level + 1
+    while not _is_prime(p):
+        p += level
+    factors = [q for q in range(2, level + 1) if level % q == 0 and _is_prime(q)]
+    for base in range(2, p):
+        omega = pow(base, (p - 1) // level, p)
+        if all(pow(omega, level // q, p) != 1 for q in factors):
+            return p, omega
+    raise AssertionError("unreachable: F_p* is cyclic")
+
+
+def _is_prime(m: int) -> bool:
+    return m > 1 and all(m % q for q in range(2, isqrt(m) + 1))
+
+
+def _sparse_rank(rows, stop_at: int | None = None, fill_cap: int = 10 ** 7,
+                 prime: int | None = None) -> int:
+    """Rank of a sparse matrix given as row dicts over a field.
+
+    Gaussian elimination without pivot search: each row, shortest first, is
+    reduced against the normalized pivot rows found so far.  Entries must be
+    field elements (Fraction or CycloNum, both exact), or, when prime is
+    given, ints in [1, prime) read in F_prime.  Plain int entries without a
+    prime would divide into floats.  Raises CapExceededError if fill-in
+    exceeds fill_cap stored entries.
     """
     pivots: dict = {}
     rank = 0
@@ -135,6 +237,8 @@ def _sparse_rank(rows, stop_at: int | None = None, fill_cap: int = 10 ** 7) -> i
                     continue
                 cur = r.get(col)
                 cur = -factor * val if cur is None else cur - factor * val
+                if prime is not None:
+                    cur %= prime
                 if cur:
                     r[col] = cur
                 else:
@@ -142,8 +246,12 @@ def _sparse_rank(rows, stop_at: int | None = None, fill_cap: int = 10 ** 7) -> i
         if not r:
             continue
         lead = min(r)
-        inv = r[lead]
-        norm = {c: v / inv for c, v in r.items()}
+        if prime is None:
+            inv = r[lead]
+            norm = {c: v / inv for c, v in r.items()}
+        else:
+            inv = pow(r[lead], -1, prime)
+            norm = {c: v * inv % prime for c, v in r.items()}
         pivots[lead] = norm
         stored += len(norm)
         if stored > fill_cap:
@@ -260,37 +368,12 @@ def _distinct_binary_roots(restriction: HomogPoly, indices) -> int:
         p.pop()
     at_infinity = 1 if len(p) <= deg else 0
     dp = [p[k] * k for k in range(1, len(p))]
-    g = _poly_gcd(p, dp)
-    distinct_finite = (len(p) - 1) - (len(g) - 1)
-    return distinct_finite + at_infinity
-
-
-def _poly_gcd(a: list[CycloNum], b: list[CycloNum]) -> list[CycloNum]:
-    a = [c for c in a]
-    b = [c for c in b]
-    while a and not a[-1]:
-        a.pop()
-    while b and not b[-1]:
-        b.pop()
+    # The last nonzero remainder of Euclid's algorithm on p and p' is their gcd.
+    a, b = p, dp
     while b:
-        a = _poly_mod(a, b)
-        a, b = b, a
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _poly_mod(a, b):
-    a = list(a)
-    while len(a) >= len(b):
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for k in range(len(b)):
-            a[shift + k] = a[shift + k] - factor * b[k]
-        while a and not a[-1]:
-            a.pop()
-    return a
+        a, b = b, _frac_poly_divmod(a, b)[1]
+    distinct_finite = (len(p) - 1) - (len(a) - 1)
+    return distinct_finite + at_infinity
 
 
 # -- projections and the Galois criterion --------------------------------------
@@ -338,7 +421,7 @@ def galois_by_theorem(F: HomogPoly, g: DiagAut) -> GaloisVerdict:
     """
     try:
         multiplier(F, g)
-    except Exception:
+    except NotSemiInvariantError:
         return GaloisVerdict.no("not an automorphism of the hypersurface")
     structure = g.eigen_structure()
     if structure.r != 2:

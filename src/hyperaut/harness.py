@@ -280,10 +280,10 @@ def audit_theorem(
             if g.is_identity():
                 continue
             fix = fixed_locus(F, g)
-            order = g.order_in_pgl()
-            instances = classify_instances(F, g, fix, n, d)
             if codim_filter is not None and fix.codim_in_x != codim_filter:
                 continue
+            order = g.order_in_pgl()
+            instances = classify_instances(F, g, fix, n, d)
             if type_filter is not None and not any(
                 inst.normal_type == type_filter for inst in instances
             ):

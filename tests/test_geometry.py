@@ -1,16 +1,23 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperaut.autgrp import DiagAut
+from hyperaut.cyclo import root_of_unity
 from hyperaut.geometry import (
+    _macaulay_rank,
+    _macaulay_system,
+    _prime_with_root,
     fixed_locus,
     galois_by_theorem,
     projection_degree,
     smoothness,
 )
-from hyperaut.harness import example_witness
-from hyperaut.poly import NotSemiInvariantError, parse
+from hyperaut.harness import delta_supports, example_witness
+from hyperaut.poly import HomogPoly, NotSemiInvariantError, parse
 
 from conftest import fermat
 
@@ -69,6 +76,138 @@ def test_smoothness_permutation_equivariant():
     S = parse("X0^4*X1 + X0*X1^4 + X0*X2^4 + X2*X3^4", 4)
     for perm in ((1, 0, 2, 3), (3, 2, 1, 0)):
         assert smoothness(S.permute_variables(perm)).verdict == "singular"
+
+
+# -- the three coefficient paths of the rank test ----------------------------------
+
+DELTA_GRID = ((2, 5), (2, 6), (3, 4), (3, 5))
+
+# (polynomial, number of variables, smooth?) with irrational coefficients.
+CYCLOTOMIC_FIXTURES = (
+    ("X0^3 + X1^3 + X2^3 + z3*X0*X1*X2", 3, True),
+    ("X0^3 + X1^3 + X2^3 - 3*z3*X0*X1*X2", 3, False),   # (-3 z3)^3 = -27
+    ("z5*X0^4 + X1^4 + z5^3*X2^4 + (1+z5)*X3^4", 4, True),
+    ("X0^4*X1 + z3*X0*X1^4 + X0*X2^4 + z4*X2*X3^4", 4, False),
+    ("z8*X0^4*X1 + (1+z8^3)*X1^4*X2 + X2^4*X3 + z4*X3^4*X0", 4, True),
+)
+
+EXACT_PATHS = ("rational", "cyclotomic")
+
+
+def _rank(F, path):
+    partials, gmons, _, target = _macaulay_system(F)
+    return _macaulay_rank(partials, gmons, target, path, 10 ** 7), target
+
+
+def _ks_smooth(sigma):
+    # Kreuzer-Skarke: no vertex is the image of two other vertices.
+    return all(
+        sum(1 for i, t in enumerate(sigma) if t == j and i != j) <= 1
+        for j in range(len(sigma))
+    )
+
+
+def test_paths_agree_with_exact_elimination_on_delta_grid():
+    for n, d in DELTA_GRID:
+        for support in delta_supports(n, d):
+            F = support.poly()
+            exact, target = _rank(F, "cyclotomic")
+            assert _rank(F, "rational") == (exact, target), support.name
+            assert _rank(F, "modular") == (exact, target), support.name
+            cert = smoothness(F)
+            assert cert.path == "rational"
+            assert (cert.rank, cert.target_rank) == (exact, target)
+            assert cert.is_smooth == (exact == target)
+
+
+def test_paths_agree_with_exact_elimination_on_cyclotomic_fixtures():
+    for text, v, smooth in CYCLOTOMIC_FIXTURES:
+        F = parse(text, v)
+        exact, target = _rank(F, "cyclotomic")
+        assert (exact == target) == smooth, text
+        assert _rank(F, "modular") == (exact, target), text
+        cert = smoothness(F)
+        assert cert.is_smooth == smooth
+        assert cert.path == ("modular" if smooth else "cyclotomic")
+        assert (cert.rank, cert.target_rank) == (exact, target)
+
+
+def test_delta_grid_against_kreuzer_skarke():
+    for n, d in DELTA_GRID:
+        for support in delta_supports(n, d):
+            F = support.poly()
+            expected = _ks_smooth(support.sigma)
+            assert smoothness(F).is_smooth == expected, support.name
+            rank, target = _rank(F, "modular")
+            assert (rank == target) == expected, support.name
+
+
+_LEVELS = (3, 4, 5, 7, 8, 12)
+
+
+@st.composite
+def cyclotomic_sparse_polys(draw):
+    v = draw(st.sampled_from((3, 4)))
+    d = draw(st.integers(3, 5 if v == 3 else 3))
+    # One near-power per variable, so the vertex screen usually passes and
+    # the rank test decides, plus a few random monomials.
+    mons = set()
+    for i in range(v):
+        mon = [0] * v
+        mon[i] += d - 1
+        mon[draw(st.integers(0, v - 1))] += 1
+        mons.add(tuple(mon))
+    for _ in range(draw(st.integers(0, 2))):
+        cut = sorted(draw(st.integers(0, d)) for _ in range(v - 1))
+        bounds = [0] + cut + [d]
+        mons.add(tuple(bounds[k + 1] - bounds[k] for k in range(v)))
+    # Coefficients a*zeta_N^k + b in one field Q(zeta_N).
+    level = draw(st.sampled_from(_LEVELS))
+    terms = {}
+    for mon in sorted(mons):
+        c = root_of_unity(level, draw(st.integers(0, level - 1)))
+        c = c * draw(st.sampled_from((1, -1, 2, -3))) + draw(st.integers(-1, 1))
+        terms[mon] = c
+    return HomogPoly(v, d, terms)
+
+
+@settings(max_examples=50, deadline=None)
+@given(cyclotomic_sparse_polys())
+def test_modular_smooth_implies_exact_smooth(F):
+    if F.is_zero():
+        return
+    exact, target = _rank(F, "cyclotomic")
+    modular, _ = _rank(F, "modular")
+    if modular is not None:
+        assert modular <= exact
+        if modular == target:
+            assert exact == target
+    cert = smoothness(F)
+    if cert.method == "macaulay_rank":
+        assert cert.is_smooth == (exact == target)
+        if cert.verdict == "singular":
+            assert cert.path in EXACT_PATHS
+
+
+def test_denominator_divisible_by_p_falls_back_to_exact():
+    p, _ = _prime_with_root(3)
+    F = parse("X0^3 + X1^3 + X2^3", 3) + HomogPoly(
+        3, 3, {(1, 1, 1): root_of_unity(3) * Fraction(1, p)}
+    )
+    assert _rank(F, "modular")[0] is None
+    cert = smoothness(F)
+    assert cert.verdict == "smooth"
+    assert cert.path == "cyclotomic"
+    assert cert.rank == cert.target_rank
+
+
+def test_singular_verdicts_come_from_exact_paths():
+    inputs = [support.poly() for n, d in DELTA_GRID[:3] for support in delta_supports(n, d)]
+    inputs += [parse(text, v) for text, v, _ in CYCLOTOMIC_FIXTURES]
+    inputs.append(parse("X0^3 + X1^3 + X2^3 - 3*X0*X1*X2", 3))
+    singular = [c for c in map(smoothness, inputs) if c.verdict == "singular"]
+    assert singular
+    assert all(c.path in EXACT_PATHS for c in singular)
 
 
 # -- fixed locus -------------------------------------------------------------------
@@ -214,3 +353,12 @@ def test_galois_by_theorem():
     assert not galois_by_theorem(W, gw).galois  # three eigenvalues
     ident = DiagAut(1, (0, 0, 0, 0))
     assert not galois_by_theorem(F, ident).galois
+
+
+def test_galois_by_theorem_handles_only_non_semi_invariance():
+    F = parse("X0^3*X1 + X1^4 + X2^4 + X3^4", 4)
+    verdict = galois_by_theorem(F, DiagAut(5, (1, 0, 0, 0)))
+    assert not verdict.galois
+    assert verdict.reason == "not an automorphism of the hypersurface"
+    with pytest.raises(ValueError):
+        galois_by_theorem(fermat(4, 5), DiagAut(5, (1, 0, 0)))
