@@ -10,7 +10,6 @@ from .classify import (
     badr_bars_divisors,
     classify_case,
     divisor_claims,
-    incidence_case,
     normal_form_type,
     rationality_verdict,
     theorem11_divisors,
@@ -23,7 +22,7 @@ __all__ = [
     "HomogPoly", "parse", "parse_scalar",
     "DiagAut", "SymGroup", "enumerate_elements", "parse_diag", "symmetry_group",
     "fixed_locus", "galois_by_theorem", "projection_degree", "smoothness",
-    "badr_bars_divisors", "classify_case", "divisor_claims", "incidence_case",
+    "badr_bars_divisors", "classify_case", "divisor_claims",
     "normal_form_type", "rationality_verdict", "theorem11_divisors",
     "zheng_integers",
     "audit_theorem", "delta_supports", "example_witness",

@@ -217,8 +217,8 @@ def character_exponent(mon: Monomial, g: DiagAut) -> int:
     return sum(e * x for e, x in zip(mon, g.exps)) % g.level
 
 
-def multiplier(F: HomogPoly, g: DiagAut) -> CycloNum:
-    """Semi-invariance multiplier of F under g, or NotSemiInvariantError."""
+def character(F: HomogPoly, g: DiagAut) -> int:
+    """c with F(g x) = zeta_level^c F(x), or NotSemiInvariantError."""
     if F.is_zero():
         raise ValueError("the zero polynomial has no multiplier")
     if F.num_vars != g.num_vars:
@@ -228,7 +228,12 @@ def multiplier(F: HomogPoly, g: DiagAut) -> CycloNum:
     for mon in mons[1:]:
         if character_exponent(mon, g) != c0:
             raise NotSemiInvariantError(mons[0], mon)
-    return root_of_unity(g.level, c0)
+    return c0
+
+
+def multiplier(F: HomogPoly, g: DiagAut) -> CycloNum:
+    """Semi-invariance multiplier of F under g, or NotSemiInvariantError."""
+    return root_of_unity(g.level, character(F, g))
 
 
 def apply(F: HomogPoly, g: DiagAut) -> HomogPoly:

@@ -33,8 +33,6 @@ TYPE_V = "V"
 TYPE_VI = "VI"
 OUT_OF_SCOPE = "out-of-scope"
 
-UNIT = "u"  # partner class: partner lives in the unit (eigenvalue 1) block
-
 
 class UnsupportedRangeError(ValueError):
     """The (n, d) pair falls outside the supported range."""
@@ -210,20 +208,6 @@ class NormalizedIncidence:
     block_partners: tuple[tuple[int, ...], ...]
     unit_partner: tuple[bool, ...]
     block_piece_zero: bool
-
-    def partner_class(self, pos: int, groups: dict[int, str]):
-        """Single partner class of an on-vertex: a group label or UNIT.
-
-        groups maps block positions to class labels.  Returns None when the
-        data is inconsistent (several distinct classes), which valid
-        semi-invariant inputs never produce.
-        """
-        labels = {groups[p] for p in self.block_partners[pos]}
-        if self.unit_partner[pos]:
-            labels.add(UNIT)
-        if len(labels) != 1:
-            return None
-        return labels.pop()
 
 
 def _block_variables(normal_type: str) -> tuple[int, dict[int, int]]:
@@ -507,21 +491,6 @@ def build_incidence(
         block_piece_zero=block_piece_zero,
     )
     return incidence, tuple(layout)
-
-
-def incidence_case(
-    F: HomogPoly, g: DiagAut, fix: FixedLocusReport
-) -> NormalizedIncidence | None:
-    """Vertex configuration of the chosen normal form, or None out of scope.
-
-    Raises VertexSmoothnessError when a block vertex lies on the hypersurface
-    with no near-power monomial (which certifies a singular point there).
-    """
-    _, unit, _ = normal_form_type(g, fix)
-    if unit is None:
-        return None
-    incidence, _ = build_incidence(F, g, unit)
-    return incidence
 
 
 def classify_instances(

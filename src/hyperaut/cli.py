@@ -15,7 +15,7 @@ from . import __version__
 from .autgrp import (
     CapExceededError,
     InfiniteGroupError,
-    multiplier,
+    character,
     parse_diag,
     symmetry_group,
 )
@@ -114,7 +114,7 @@ def cmd_analyze(args) -> int:
             conditional = True
 
     try:
-        t = multiplier(F, g)
+        character(F, g)
     except NotSemiInvariantError as exc:
         a, b = exc.witness
         print(

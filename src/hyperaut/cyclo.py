@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -94,20 +94,30 @@ def _reduced_powers(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce_power_vector(level: int, vec: list[Fraction]) -> tuple[Fraction, ...]:
-    # Fold a power-basis vector (any length covered by the table) into the
-    # canonical basis of length phi(level).
-    phi = euler_phi(level)
+def _integral(coeffs) -> tuple[list[int], int]:
+    # Fractions as integer numerators over their least common denominator.
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _reduce_power_vector(level: int, vec: list[int], den: int = 1) -> "CycloNum":
+    # Fold the power-basis vector vec / den (vec of any length covered by the
+    # table) into the canonical basis of length phi(level).  The arithmetic
+    # is on ints; each coordinate becomes a Fraction once, at the end.
     table = _reduced_powers(level)
-    out = [_ZERO] * phi
+    out = [0] * len(table[0])
     for k, c in enumerate(vec):
-        if not c:
-            continue
-        row = table[k]
-        for i in range(phi):
-            if row[i]:
-                out[i] += c * row[i]
-    return tuple(out)
+        if c:
+            for i, r in enumerate(table[k]):
+                if r:
+                    out[i] += c * r
+    return _make(level, tuple(Fraction(c, den) for c in out))
+
+
+@lru_cache(maxsize=None)
+def _root_index(level: int) -> dict[tuple[int, ...], int]:
+    """The coordinates of zeta_level^j -> j, for 0 <= j < level."""
+    return {row: j for j, row in enumerate(_reduced_powers(level)[:level])}
 
 
 class CycloNum:
@@ -142,18 +152,18 @@ class CycloNum:
         vec = [Fraction(c) for c in vec]
         if len(vec) > max(level, 2 * euler_phi(level) - 1):
             raise ValueError("power-basis vector too long for this level")
-        return cls(level, _reduce_power_vector(level, vec))
+        return _reduce_power_vector(level, *_integral(vec))
 
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.coeffs)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
@@ -169,11 +179,10 @@ class CycloNum:
         if m % self.level:
             raise ValueError("can only embed into a multiple of the level")
         step = m // self.level
-        vec = [_ZERO] * ((len(self.coeffs) - 1) * step + 1)
-        for k, c in enumerate(self.coeffs):
-            if c:
-                vec[k * step] = c
-        return CycloNum(m, _reduce_power_vector(m, vec))
+        nums, den = _integral(self.coeffs)
+        vec = [0] * ((len(nums) - 1) * step + 1)
+        vec[::step] = nums
+        return _reduce_power_vector(m, vec, den)
 
     @staticmethod
     def _coerce(x) -> "CycloNum":
@@ -188,6 +197,9 @@ class CycloNum:
         m = lcm(self.level, other.level)
         return self.embed(m), other.embed(m)
 
+    def _scale(self, q: Fraction) -> "CycloNum":
+        return _make(self.level, tuple(q * c for c in self.coeffs))
+
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
@@ -195,37 +207,42 @@ class CycloNum:
             a, b = self._common(other)
         except TypeError:
             return NotImplemented
-        return CycloNum(a.level, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return _make(a.level, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNum(self.level, tuple(-c for c in self.coeffs))
+        return _make(self.level, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         try:
             a, b = self._common(other)
         except TypeError:
             return NotImplemented
-        return CycloNum(a.level, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return _make(a.level, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         try:
-            a, b = self._common(other)
+            other = self._coerce(other)
         except TypeError:
             return NotImplemented
-        n = len(a.coeffs)
-        prod = [_ZERO] * (2 * n - 1)
-        for i, x in enumerate(a.coeffs):
-            if not x:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
+        m = lcm(self.level, other.level)
+        if other.is_rational():
+            return self.embed(m)._scale(other.coeffs[0])
+        if self.is_rational():
+            return other.embed(m)._scale(self.coeffs[0])
+        xs, da = _integral(self.embed(m).coeffs)
+        ys, db = _integral(other.embed(m).coeffs)
+        prod = [0] * (2 * len(xs) - 1)
+        ys = [(j, y) for j, y in enumerate(ys) if y]
+        for i, x in enumerate(xs):
+            if x:
+                for j, y in ys:
                     prod[i + j] += x * y
-        return CycloNum(a.level, _reduce_power_vector(a.level, prod))
+        return _reduce_power_vector(m, prod, da * db)
 
     __rmul__ = __mul__
 
@@ -233,7 +250,7 @@ class CycloNum:
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta)")
         if self.is_rational():
-            return CycloNum.from_rational(1 / self.coeffs[0]).embed(self.level)
+            return _make(self.level, (1 / self.coeffs[0],) + self.coeffs[1:])
         # Extended Euclid against the cyclotomic polynomial over Q.
         phi = [Fraction(c) for c in cyclotomic_polynomial(self.level)]
         r0, r1 = phi, list(self.coeffs)
@@ -242,8 +259,7 @@ class CycloNum:
             while r1 and not r1[-1]:
                 r1.pop()
             if len(r1) == 1:
-                inv_vec = [c / r1[0] for c in s1]
-                return CycloNum(self.level, _reduce_power_vector(self.level, inv_vec))
+                return _reduce_power_vector(self.level, *_integral([c / r1[0] for c in s1]))
             q, r = _frac_poly_divmod(r0, r1)
             s = _frac_poly_sub(s0, _frac_poly_mul(q, s1))
             r0, s0 = r1, s1
@@ -288,32 +304,28 @@ class CycloNum:
 
     # -- roots of unity ----------------------------------------------------
 
-    def root_order(self) -> int | None:
-        """Smallest m >= 1 with self**m == 1, or None if not a root of unity.
-
-        The torsion of Q(zeta_N)* is the group of lcm(2, N)-th roots of
-        unity, so raising to that power decides membership.
-        """
-        m = lcm(2, self.level)
-        if (self ** m) != 1:
-            return None
-        for div in sorted(_divisors(m)):
-            if (self ** div) == 1:
-                return div
-        raise AssertionError("unreachable")
-
     def as_root_of_unity(self) -> tuple[int, int] | None:
-        """(m, k) with self == zeta_m^k, gcd(k, m) == 1, or None."""
-        m = self.root_order()
-        if m is None:
+        """(m, k) with self == zeta_m^k, gcd(k, m) == 1, or None.
+
+        The torsion of Q(zeta_N)* is the group of the +-zeta_N^j, and
+        -zeta_N^j = zeta_2N^(2j + N), so at most two lookups decide.
+        """
+        index = _root_index(self.level)
+        j = index.get(self.coeffs)
+        if j is not None:
+            e = 2 * j
+        elif (j := index.get(tuple(-c for c in self.coeffs))) is not None:
+            e = 2 * j + self.level
+        else:
             return None
-        if m == 1:
-            return (1, 0)
-        from math import gcd as _gcd
-        for k in range(1, m):
-            if _gcd(k, m) == 1 and self == root_of_unity(m, k):
-                return (m, k)
-        raise AssertionError("unreachable")
+        m = 2 * self.level  # self == zeta_m^e
+        g = gcd(e, m)
+        return (m // g, e % m // g)
+
+    def root_order(self) -> int | None:
+        """Smallest m >= 1 with self**m == 1, or None if not a root of unity."""
+        root = self.as_root_of_unity()
+        return None if root is None else root[0]
 
     # -- formatting --------------------------------------------------------
 
@@ -342,6 +354,19 @@ class CycloNum:
 
     def __repr__(self):
         return f"CycloNum({self})"
+
+
+def _make(level: int, coeffs: tuple[Fraction, ...]) -> CycloNum:
+    # Trusted constructor for the results of ring operations, whose coeffs
+    # already are phi(level) Fractions: it skips the checks of __init__.
+    x = object.__new__(CycloNum)
+    _set_level(x, level)
+    _set_coeffs(x, coeffs)
+    return x
+
+
+_set_level = CycloNum.level.__set__
+_set_coeffs = CycloNum.coeffs.__set__
 
 
 def _frac_poly_divmod(a: list[Fraction], b: list[Fraction]):
@@ -380,18 +405,6 @@ def _frac_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return a
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return out
-
-
 def root_of_unity(level: int, k: int = 1) -> CycloNum:
     """zeta_level^k in canonical form at the given level.
 
@@ -401,9 +414,7 @@ def root_of_unity(level: int, k: int = 1) -> CycloNum:
     if level < 1:
         raise ValueError("level must be a positive integer")
     k %= level
-    vec = [_ZERO] * (k + 1)
-    vec[k] = _ONE
-    return CycloNum(level, _reduce_power_vector(level, vec))
+    return _reduce_power_vector(level, [0] * k + [1])
 
 
 def rational(q) -> CycloNum:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import isqrt, lcm
 
-from .autgrp import CapExceededError, DiagAut, multiplier
+from .autgrp import CapExceededError, DiagAut, character
 from .cyclo import CycloNum, _frac_poly_divmod, rational
 from .poly import HomogPoly, Monomial, NotSemiInvariantError, monomials_of_degree
 
@@ -212,13 +212,18 @@ def _sparse_rank(rows, stop_at: int | None = None, fill_cap: int = 10 ** 7,
     """Rank of a sparse matrix given as row dicts over a field.
 
     Gaussian elimination without pivot search: each row, shortest first, is
-    reduced against the normalized pivot rows found so far.  Entries must be
-    field elements (Fraction or CycloNum, both exact), or, when prime is
-    given, ints in [1, prime) read in F_prime.  Plain int entries without a
-    prime would divide into floats.  Raises CapExceededError if fill-in
-    exceeds fill_cap stored entries.
+    reduced against the pivot rows found so far, and what is left of it is
+    stored as a new pivot row keyed by its least column.  A pivot row is
+    normalized (scaled to lead 1, one inverse) only when it is first used,
+    so a pivot that never reduces a row costs no division; a single-entry
+    pivot reduces a row by deleting its column, with no arithmetic at all.
+    Entries must be field elements (Fraction or CycloNum, both exact), or,
+    when prime is given, ints in [1, prime) read in F_prime.  Plain int
+    entries without a prime would divide into floats.  Raises
+    CapExceededError if the pivot rows hold more than fill_cap entries.
     """
     pivots: dict = {}
+    unscaled: set = set()
     rank = 0
     stored = 0
     for row in sorted(rows, key=len):
@@ -232,7 +237,15 @@ def _sparse_rank(rows, stop_at: int | None = None, fill_cap: int = 10 ** 7,
             if hit is None:
                 break
             factor = r.pop(hit)
-            for col, val in pivots[hit].items():
+            pivot = pivots[hit]
+            if len(pivot) == 1:
+                continue
+            if hit in unscaled:
+                unscaled.remove(hit)
+                inv = 1 / pivot[hit] if prime is None else pow(pivot[hit], -1, prime)
+                for col, val in pivot.items():
+                    pivot[col] = val * inv if prime is None else val * inv % prime
+            for col, val in pivot.items():
                 if col == hit:
                     continue
                 cur = r.get(col)
@@ -246,14 +259,9 @@ def _sparse_rank(rows, stop_at: int | None = None, fill_cap: int = 10 ** 7,
         if not r:
             continue
         lead = min(r)
-        if prime is None:
-            inv = r[lead]
-            norm = {c: v / inv for c, v in r.items()}
-        else:
-            inv = pow(r[lead], -1, prime)
-            norm = {c: v * inv % prime for c, v in r.items()}
-        pivots[lead] = norm
-        stored += len(norm)
+        pivots[lead] = r
+        unscaled.add(lead)
+        stored += len(r)
         if stored > fill_cap:
             raise CapExceededError(
                 f"elimination fill-in exceeded {fill_cap} stored entries"
@@ -302,7 +310,7 @@ def fixed_locus(F: HomogPoly, g: DiagAut) -> FixedLocusReport:
     linear slices; a positive-dimensional slice that is a hypersurface in
     its eigenspace leaves contains_line undecided (None).
     """
-    multiplier(F, g)
+    character(F, g)
     n = F.num_vars - 2
     slices = []
     for block in g.eigen_structure().blocks:
@@ -420,7 +428,7 @@ def galois_by_theorem(F: HomogPoly, g: DiagAut) -> GaloisVerdict:
     X / <g> is then rational (key thm-2.3).
     """
     try:
-        multiplier(F, g)
+        character(F, g)
     except NotSemiInvariantError:
         return GaloisVerdict.no("not an automorphism of the hypersurface")
     structure = g.eigen_structure()

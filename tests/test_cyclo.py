@@ -80,6 +80,35 @@ def test_root_order_formula():
             assert root_of_unity(n, k).root_order() == n // gcd(n, k)
 
 
+def test_as_root_of_unity_against_powers():
+    # Oracle: the order is the least m with value**m == 1, and k is the one
+    # exponent prime to m with zeta_m^k == value.
+    for n in range(1, 16):
+        for j in range(n):
+            for value in (root_of_unity(n, j), -root_of_unity(n, j)):
+                for level in (n, 2 * n):
+                    x = value.embed(level)
+                    m, k = x.as_root_of_unity()
+                    assert x ** m == 1
+                    assert all(x ** e != 1 for e in range(1, m))
+                    assert (m, k) == (1, 0) or (gcd(k, m) == 1 and 0 < k < m)
+                    assert root_of_unity(m, k) == x
+                    assert x.root_order() == m
+    for x in (rational(2), 2 * root_of_unity(5), 1 + root_of_unity(5), rational(0)):
+        assert x.as_root_of_unity() is None and x.root_order() is None
+
+
+def test_results_keep_level_and_fraction_coordinates():
+    z = root_of_unity(3)
+    two = rational(2).embed(12)
+    values = [z * two, two * z, z * 2, z + two, z - two, -z, (z + 1).inverse(),
+              two.inverse(), z ** 3]
+    assert [v.level for v in values] == [12, 12, 3, 12, 12, 3, 3, 12, 3]
+    for v in values:
+        assert len(v.coeffs) == euler_phi(v.level)
+        assert all(type(c) is Fraction for c in v.coeffs)
+
+
 def test_embed_is_ring_hom():
     rng = random.Random(7)
     for _ in range(40):

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperaut.autgrp import DiagAut
-from hyperaut.cyclo import root_of_unity
+from hyperaut.autgrp import CapExceededError, DiagAut
+from hyperaut.cyclo import CycloNum, root_of_unity
 from hyperaut.geometry import (
     _macaulay_rank,
     _macaulay_system,
     _prime_with_root,
+    _sparse_rank,
     fixed_locus,
     galois_by_theorem,
     projection_degree,
@@ -208,6 +209,161 @@ def test_singular_verdicts_come_from_exact_paths():
     singular = [c for c in map(smoothness, inputs) if c.verdict == "singular"]
     assert singular
     assert all(c.path in EXACT_PATHS for c in singular)
+
+
+# -- the elimination kernel against a dense reference -------------------------------
+
+
+def _dense_rank(rows, prime=None):
+    # Textbook Gaussian elimination with pivot search on a dense copy.
+    cols = sorted({c for row in rows for c in row})
+    mat = [[row.get(c, 0) for c in cols] for row in rows]
+    rank = 0
+    for j in range(len(cols)):
+        found = next((i for i in range(rank, len(mat)) if mat[i][j]), None)
+        if found is None:
+            continue
+        mat[rank], mat[found] = mat[found], mat[rank]
+        top = mat[rank]
+        for i in range(rank + 1, len(mat)):
+            if not mat[i][j]:
+                continue
+            if prime is None:
+                f = mat[i][j] / top[j]
+                mat[i] = [a - f * b for a, b in zip(mat[i], top)]
+            else:
+                f = mat[i][j] * pow(top[j], -1, prime)
+                mat[i] = [(a - f * b) % prime for a, b in zip(mat[i], top)]
+        rank += 1
+    return rank
+
+
+_SMALL_PRIME = 7
+_W = root_of_unity(5) + 2   # an irrational scale for the CycloNum copies
+
+# Integer patterns; each test reads them over Q, F_7 and Q(zeta_5).
+KERNEL_MATRICES = (
+    # Single-entry pivots at columns 0 and 2 that delete their column from
+    # every later row, and the two-entry pivot at 1 used by each of them.
+    [{0: 2}, {1: 3, 2: 1}, {0: 1, 1: 1}, {0: 5, 1: 2}, {0: 1, 1: 4}, {0: 3, 1: 3}],
+    # Fill-in: reduced rows gain entries and run through chains of pivots.
+    [{0: 1, 1: 1}, {0: 1, 2: 1}, {1: 1, 2: 1, 3: 1}, {0: 2, 3: 1, 4: 1},
+     {1: 3, 4: 2}, {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}],
+    # Rank-deficient: the last two rows are combinations of the first three.
+    [{0: 1, 2: 2}, {1: 1, 2: 3}, {0: 2, 3: 1}, {0: 3, 1: 1, 2: 5, 3: 1},
+     {1: 2, 2: 6}],
+    [],
+)
+
+
+def _in_field(rows, field):
+    if field == "rational":
+        return [{c: Fraction(v) for c, v in row.items()} for row in rows], None
+    if field == "modular":
+        return [{c: v % _SMALL_PRIME for c, v in row.items() if v % _SMALL_PRIME}
+                for row in rows], _SMALL_PRIME
+    return [{c: _W * v for c, v in row.items()} for row in rows], None
+
+
+@pytest.mark.parametrize("field", ("rational", "modular", "cyclotomic"))
+def test_sparse_rank_matches_dense_reference(field):
+    for pattern in KERNEL_MATRICES:
+        rows, prime = _in_field(pattern, field)
+        expected = _dense_rank(rows, prime)
+        assert _sparse_rank(rows, prime=prime) == expected, pattern
+        for k in range(1, expected + 1):
+            assert _sparse_rank(rows, stop_at=k, prime=prime) == k
+
+
+def test_sparse_rank_on_cyclotomic_macaulay_matrices():
+    for text, v, smooth in CYCLOTOMIC_FIXTURES[:2]:
+        partials, gmons, _, target = _macaulay_system(parse(text, v))
+        rows = [
+            {tuple(a + b for a, b in zip(g, m)): c for m, c in p.terms.items()}
+            for p in partials for g in gmons
+        ]
+        rank = _dense_rank(rows)
+        assert (rank == target) == smooth
+        assert _sparse_rank(rows) == rank
+
+
+@pytest.mark.parametrize("field", ("rational", "modular", "cyclotomic"))
+def test_sparse_rank_fill_cap_counts_stored_pivot_entries(field):
+    # Pivot rows as found: {0, 1} (2 entries), {0, 2} reduced to {1, 2} (2),
+    # {1, 2, 3} reduced to {2, 3} (2): 6 stored entries, rank 3.
+    rows, prime = _in_field([{0: 1, 1: 1}, {0: 1, 2: 1}, {1: 1, 2: 1, 3: 1}], field)
+    assert _sparse_rank(rows, fill_cap=6, prime=prime) == 3
+    with pytest.raises(CapExceededError):
+        _sparse_rank(rows, fill_cap=5, prime=prime)
+    # stop_at ends the elimination before the third pivot row is stored.
+    assert _sparse_rank(rows, stop_at=2, fill_cap=4, prime=prime) == 2
+
+
+def _count_inverses(monkeypatch):
+    calls = []
+    original = CycloNum.inverse
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(CycloNum, "inverse", counting)
+    return calls
+
+
+def test_sparse_rank_inverts_each_used_multi_entry_pivot_once(monkeypatch):
+    # The first matrix has one multi-entry pivot ({1, 2}, used by all four
+    # later rows); the single-entry pivots at columns 0 and 2 need no inverse.
+    rows, _ = _in_field(KERNEL_MATRICES[0], "cyclotomic")
+    calls = _count_inverses(monkeypatch)
+    assert _sparse_rank(rows) == 3
+    assert len(calls) == 1
+
+
+def test_singular_cyclotomic_certificate_inverts_fewer_than_rank(monkeypatch):
+    # At most one inverse per multi-entry pivot that reduces a row.  The last
+    # pivot found reduces no row, so there are fewer inverses than the rank.
+    calls = _count_inverses(monkeypatch)
+    for text, v, smooth in CYCLOTOMIC_FIXTURES:
+        if smooth:
+            continue
+        calls.clear()
+        cert = smoothness(parse(text, v))
+        assert cert.verdict == "singular" and cert.path == "cyclotomic"
+        assert 0 < len(calls) < cert.rank
+
+
+@st.composite
+def sparse_matrices(draw):
+    field = draw(st.sampled_from(("rational", "modular", "cyclotomic")))
+    prime = draw(st.sampled_from((2, 5, 2 ** 31 - 1))) if field == "modular" else None
+    level = draw(st.sampled_from((3, 4, 5)))
+
+    def entry():
+        if field == "rational":
+            return Fraction(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(1, 3)))
+        if field == "modular":
+            return draw(st.integers(1, prime - 1))
+        value = root_of_unity(level, draw(st.integers(0, level - 1)))
+        value = value * draw(st.sampled_from((1, -1, 2))) + draw(st.integers(-1, 1))
+        return value if value else CycloNum.from_rational(1)
+
+    ncols = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        cols = draw(st.sets(st.integers(0, ncols - 1), min_size=1, max_size=ncols))
+        rows.append({c: entry() for c in sorted(cols)})
+    return rows, prime
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+def test_sparse_rank_random_matrices(case):
+    rows, prime = case
+    expected = _dense_rank(rows, prime)
+    assert _sparse_rank(rows, prime=prime) == expected
+    for k in range(1, expected + 1):
+        assert _sparse_rank(rows, stop_at=k, prime=prime) == k
 
 
 # -- fixed locus -------------------------------------------------------------------
