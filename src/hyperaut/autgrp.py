@@ -106,13 +106,6 @@ class DiagAut:
     def power(self, k: int) -> "DiagAut":
         return DiagAut(self.level, tuple(e * k % self.level for e in self.exps))
 
-    def scalar_shift(self, c: int) -> "DiagAut":
-        """The same PGL class written with every exponent shifted by c."""
-        return DiagAut(self.level, tuple(e + c for e in self.exps))
-
-    def permute(self, perm) -> "DiagAut":
-        return DiagAut(self.level, tuple(self.exps[p] for p in perm))
-
     def eigen_structure(self) -> "EigenStructure":
         blocks: list[tuple[int, list[int]]] = []
         seen: dict[int, int] = {}
@@ -127,32 +120,6 @@ class DiagAut:
         )
         mults = tuple(sorted((len(b.indices) for b in tuples), reverse=True))
         return EigenStructure(r=len(tuples), multiplicities=mults, blocks=tuples)
-
-    def normalized(self) -> tuple["DiagAut", tuple[int, ...]]:
-        """Shift the largest eigenspace to eigenvalue 1 and sort blocks.
-
-        Non-unit blocks come first, larger blocks before smaller, ties by
-        exponent.  Returns the result and the permutation applied, so that
-        result.exps[i] == self.exps[perm[i]].
-        """
-        structure = self.eigen_structure()
-        best_size = max(len(b.indices) for b in structure.blocks)
-        candidates = [b for b in structure.blocks if len(b.indices) == best_size]
-        best = None
-        for unit in candidates:
-            shifted = [(e - unit.exp) % self.level for e in self.exps]
-            others = sorted(
-                (b for b in structure.blocks if b is not unit),
-                key=lambda b: (-len(b.indices), (b.exp - unit.exp) % self.level),
-            )
-            perm = tuple(
-                i for b in others for i in b.indices
-            ) + tuple(unit.indices)
-            exps = tuple(shifted[p] for p in perm)
-            if best is None or exps < best[0]:
-                best = (exps, perm)
-        exps, perm = best
-        return DiagAut(self.level, exps), perm
 
     def __str__(self):
         parts = []
@@ -234,10 +201,6 @@ def character(F: HomogPoly, g: DiagAut) -> int:
 def multiplier(F: HomogPoly, g: DiagAut) -> CycloNum:
     """Semi-invariance multiplier of F under g, or NotSemiInvariantError."""
     return root_of_unity(g.level, character(F, g))
-
-
-def apply(F: HomogPoly, g: DiagAut) -> HomogPoly:
-    return F.apply_diagonal(g.eigenvalues())
 
 
 # -- Smith normal form ---------------------------------------------------------
@@ -389,11 +352,7 @@ def symmetry_group(support, num_vars: int | None = None) -> SymGroup:
     return SymGroup(num_vars, tuple(factors), tuple(gens))
 
 
-def enumerate_elements(
-    group: SymGroup,
-    order_filter=None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-):
+def enumerate_elements(group: SymGroup, cap: int = DEFAULT_ENUMERATION_CAP):
     """Yield every element of the group exactly once as a DiagAut.
 
     Elements are produced at the lcm level of the invariant factors, in
@@ -405,9 +364,7 @@ def enumerate_elements(
             f"group order {group.order} exceeds the enumeration cap {cap}"
         )
     if not group.invariant_factors:
-        g = DiagAut.identity(group.num_vars)
-        if order_filter is None or order_filter(1):
-            yield g
+        yield DiagAut.identity(group.num_vars)
         return
     level = group.exponent
     lifted = [
@@ -420,29 +377,4 @@ def enumerate_elements(
             if x:
                 for k in range(group.num_vars):
                     exps[k] += x * gen_exps[k]
-        g = DiagAut(level, tuple(exps))
-        if order_filter is None or order_filter(g.order_in_pgl()):
-            yield g
-
-
-def brute_force_class_count(support, modulus: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
-    """Count scalar classes of exponent vectors mod modulus fixing the support.
-
-    Raw enumeration: no lattice theory is used beyond the modulus choice, so
-    this is an independent check on the Smith normal form computation.  One
-    representative per scalar class is counted by pinning the first exponent
-    to zero.
-    """
-    support = [tuple(m) for m in support]
-    num_vars = len(support[0])
-    base = support[0]
-    rows = [tuple(m[i] - base[i] for i in range(num_vars)) for m in support[1:]]
-    total = modulus ** (num_vars - 1)
-    if total > cap:
-        raise CapExceededError(f"{total} candidates exceed the cap {cap}")
-    count = 0
-    for rest in product(range(modulus), repeat=num_vars - 1):
-        exps = (0,) + rest
-        if all(sum(r * e for r, e in zip(row, exps)) % modulus == 0 for row in rows):
-            count += 1
-    return count
+        yield DiagAut(level, tuple(exps))

@@ -145,6 +145,18 @@ def claims_satisfied(claims, order: int, n: int) -> bool:
     return any(c.satisfied(order, n) for c in claims)
 
 
+def theorem11_claims(n: int, d: int, codim: int) -> tuple[DivisorClaim, ...]:
+    """theorem11_divisors as claims, with the codim-1 side condition on d-2.
+
+    The side condition is stated for every order: orders 1 and 2 dividing
+    d-2 also divide d or d-1, so only orders of at least 3 need n = 2.
+    """
+    side = {d - 2: 2} if codim == 1 else {}
+    return tuple(
+        DivisorClaim(x, side.get(x)) for x in sorted(theorem11_divisors(n, d, codim))
+    )
+
+
 def _claims(*pairs) -> tuple[DivisorClaim, ...]:
     return tuple(DivisorClaim(v, r) for v, r in pairs)
 

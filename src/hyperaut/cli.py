@@ -1,8 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 input or logic error (unparseable input, a
-mismatched automorphism, an unsupported range), 3 the hypersurface is
-singular, 4 an enumeration or size cap was exceeded.
+Exit codes: 0 success, 1 the audit found violations, 2 input or logic
+error (unparseable input, a mismatched automorphism, an unsupported range),
+3 the hypersurface is singular, 4 an enumeration or size cap was exceeded.
 """
 
 from __future__ import annotations

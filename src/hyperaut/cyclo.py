@@ -147,13 +147,6 @@ class CycloNum:
     def from_rational(cls, q) -> "CycloNum":
         return cls(1, (Fraction(q),))
 
-    @classmethod
-    def from_power_basis(cls, level: int, vec) -> "CycloNum":
-        vec = [Fraction(c) for c in vec]
-        if len(vec) > max(level, 2 * euler_phi(level) - 1):
-            raise ValueError("power-basis vector too long for this level")
-        return _reduce_power_vector(level, *_integral(vec))
-
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -295,9 +295,6 @@ class FixedLocusReport:
     contains_line: bool | None  # None means undecided
     point_count: int | None     # total, when the fixed locus is finite
 
-    def slices_of_codim_le(self, bound: int) -> tuple[SliceInfo, ...]:
-        return tuple(s for s in self.slices if s.dim >= 0 and self.n - s.dim <= bound)
-
 
 def fixed_locus(F: HomogPoly, g: DiagAut) -> FixedLocusReport:
     """Per-eigenspace decomposition of the fixed point set on X.

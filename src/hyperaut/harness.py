@@ -25,7 +25,7 @@ from .classify import (
     check_range,
     claims_satisfied,
     classify_instances,
-    theorem11_divisors,
+    theorem11_claims,
 )
 from .geometry import fixed_locus, smoothness
 from .poly import HomogPoly, Monomial
@@ -69,36 +69,35 @@ class DeltaSupport:
         return HomogPoly.from_support(self.monomials(), self.num_vars)
 
 
-def canonical_sigma(sigma: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically least relabeling of a functional digraph."""
-    m = len(sigma)
-    best = None
-    for perm in permutations(range(m)):
-        inv = [0] * m
-        for i, p in enumerate(perm):
-            inv[p] = i
-        relabeled = tuple(inv[sigma[perm[i]]] for i in range(m))
-        if best is None or relabeled < best:
-            best = relabeled
-    return best
-
-
 def delta_supports(n: int, d: int):
-    """All delta supports on n+2 variables, one per digraph isomorphism class."""
+    """All delta supports on n+2 variables, one per digraph isomorphism class.
+
+    Each class is represented by the lexicographically least relabeling of
+    its maps: the maps are walked in lexicographic order, so the first one
+    met in a class is that minimum, and its whole relabeling orbit is then
+    marked as seen.
+    """
     m = n + 2
     if m > MAX_DELTA_VARS:
         raise CapExceededError(
             f"delta enumeration is capped at {MAX_DELTA_VARS} variables"
         )
+    relabelings = []
+    for perm in permutations(range(m)):
+        inv = [0] * m
+        for i, p in enumerate(perm):
+            inv[p] = i
+        relabelings.append((perm, inv))
     seen = set()
     out = []
     for sigma in product(range(m), repeat=m):
-        canon = canonical_sigma(sigma)
-        if canon in seen:
+        if sigma in seen:
             continue
-        seen.add(canon)
-        out.append(DeltaSupport(num_vars=m, degree=d, sigma=canon))
-    out.sort(key=lambda s: s.sigma)
+        seen.update(
+            tuple(inv[sigma[perm[i]]] for i in range(m))
+            for perm, inv in relabelings
+        )
+        out.append(DeltaSupport(num_vars=m, degree=d, sigma=sigma))
     return tuple(out)
 
 
@@ -124,46 +123,6 @@ def example_witness(d: int) -> tuple[HomogPoly, DiagAut]:
     F = HomogPoly.from_support(mons, v)
     g = DiagAut(d * (d - 1), (d, d, 1, 0, 0))
     return F, g
-
-
-def brute_force_max_order(
-    support,
-    num_vars: int,
-    codim_filter=None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> int:
-    """Max order over all diagonal symmetries, by raw modular enumeration.
-
-    Only the search modulus (the group exponent) comes from the lattice
-    computation; membership and orders are checked directly, so this is an
-    independent oracle for the branch tables.  codim_filter, when given,
-    receives the FixedLocusReport of each symmetry.
-    """
-    support = [tuple(m) for m in support]
-    group = symmetry_group(support, num_vars)
-    modulus = group.exponent
-    if modulus == 1:
-        return 1
-    total = modulus ** (num_vars - 1)
-    if total > cap:
-        raise CapExceededError(f"{total} candidates exceed the cap {cap}")
-    F = HomogPoly.from_support(support, num_vars)
-    base = support[0]
-    rows = [
-        tuple(m[i] - base[i] for i in range(num_vars)) for m in support[1:]
-    ]
-    best = 1
-    for rest in product(range(modulus), repeat=num_vars - 1):
-        exps = (0,) + rest
-        if any(
-            sum(r * e for r, e in zip(row, exps)) % modulus for row in rows
-        ):
-            continue
-        g = DiagAut(modulus, exps)
-        if codim_filter is not None and not codim_filter(fixed_locus(F, g)):
-            continue
-        best = max(best, g.order_in_pgl())
-    return best
 
 
 # -- audits ---------------------------------------------------------------------
@@ -214,24 +173,11 @@ class AuditReport:
         return not self.violations and not self.partial
 
 
-def _codim1_list_ok(order: int, n: int, d: int) -> bool:
-    if d % order == 0 or (d - 1) % order == 0:
-        return True
-    if (d - 2) % order == 0:
-        return order < 3 or n == 2
-    return False
-
-
-def _codim2_list_ok(order: int, n: int, d: int) -> bool:
-    return any(x % order == 0 for x in theorem11_divisors(n, d, 2))
-
-
 def audit_theorem(
     n: int,
     d: int,
     claim: str,
     enum_cap: int = DEFAULT_ENUMERATION_CAP,
-    entry_cap: int | None = None,
     keep_records: bool = True,
 ) -> AuditReport:
     """Sweep all smooth delta supports and check one divisor claim family.
@@ -245,6 +191,13 @@ def audit_theorem(
         raise ValueError(f"unknown claim id {claim!r}; use one of {AUDIT_CLAIM_IDS}")
     type_filter = TYPE_CLAIM_IDS.get(claim)
     codim_filter = {"thm-1.1-codim1": 1, "thm-1.1-codim2": 2}.get(claim)
+    if codim_filter is not None:
+        t11_claims = theorem11_claims(n, d, codim_filter)
+        t11_listing = (
+            "d, d-1, d-2 with side condition"
+            if codim_filter == 1
+            else ", ".join(str(c) for c in t11_claims)
+        )
 
     singular = []
     inconclusive = []
@@ -258,11 +211,7 @@ def audit_theorem(
     smooth_count = 0
     for support in supports:
         F = support.poly()
-        cert = (
-            smoothness(F)
-            if entry_cap is None
-            else smoothness(F, entry_cap=entry_cap)
-        )
+        cert = smoothness(F)
         if cert.verdict == "singular":
             singular.append(support.name)
             continue
@@ -290,15 +239,9 @@ def audit_theorem(
                 continue
             cases += 1
             checks = []
-            if codim_filter == 1:
-                ok = _codim1_list_ok(order, n, d)
-                checks.append(("thm-1.1-codim1", "d, d-1, d-2 with side condition", ok))
-            elif codim_filter == 2:
-                ok = _codim2_list_ok(order, n, d)
-                listing = ", ".join(
-                    str(x) for x in sorted(theorem11_divisors(n, d, 2))
-                )
-                checks.append(("thm-1.1-codim2", listing, ok))
+            if codim_filter is not None:
+                ok = claims_satisfied(t11_claims, order, n)
+                checks.append((claim, t11_listing, ok))
             for inst in instances:
                 if type_filter is not None and inst.normal_type != type_filter:
                     continue

@@ -191,57 +191,6 @@ class HomogPoly:
 
     __rmul__ = __mul__
 
-    # -- the diagonal action -----------------------------------------------
-
-    def apply_diagonal(self, lambdas) -> "HomogPoly":
-        """Substitute X_i -> lambda_i * X_i; the support is unchanged."""
-        lambdas = [CycloNum._coerce(v) for v in lambdas]
-        if len(lambdas) != self.num_vars:
-            raise ValueError("need one scale factor per variable")
-        if any(not v for v in lambdas):
-            raise ZeroDivisionError("zero eigenvalue in a diagonal action")
-        powers: list[dict[int, CycloNum]] = [dict() for _ in lambdas]
-        terms = {}
-        for mon, coeff in self.terms.items():
-            factor = coeff
-            for i, e in enumerate(mon):
-                if e:
-                    cache = powers[i]
-                    if e not in cache:
-                        cache[e] = lambdas[i] ** e
-                    factor = factor * cache[e]
-            terms[mon] = factor
-        return HomogPoly(self.num_vars, self.degree, terms)
-
-    def semi_invariance_multiplier(self, lambdas) -> CycloNum:
-        """The unique t with F(lambda * X) == t * F(X).
-
-        Raises NotSemiInvariantError with a two-monomial witness when the
-        character is not constant over the support.
-        """
-        if self.is_zero():
-            raise ValueError("the zero polynomial has no multiplier")
-        lambdas = [CycloNum._coerce(v) for v in lambdas]
-        if any(not v for v in lambdas):
-            raise ZeroDivisionError("zero eigenvalue in a diagonal action")
-        mons = sorted(self.terms, reverse=True)
-
-        def character(mon):
-            t = rational(1)
-            for i, e in enumerate(mon):
-                if e:
-                    t = t * lambdas[i] ** e
-            return t
-
-        t0 = character(mons[0])
-        for mon in mons[1:]:
-            if character(mon) != t0:
-                return self._raise_witness(mons[0], mon)
-        return t0
-
-    def _raise_witness(self, a, b):
-        raise NotSemiInvariantError(a, b)
-
     # -- support structure ---------------------------------------------------
 
     def support_queries(self) -> "IncidenceProfile":
@@ -292,17 +241,6 @@ class HomogPoly:
             new[i] = e - 1
             terms[tuple(new)] = c * e
         return HomogPoly(self.num_vars, max(self.degree - 1, 0), terms)
-
-    def permute_variables(self, perm) -> "HomogPoly":
-        """Relabel variables so that new position i carries old variable perm[i]."""
-        perm = tuple(perm)
-        if sorted(perm) != list(range(self.num_vars)):
-            raise ValueError("not a permutation of the variable indices")
-        terms = {
-            tuple(mon[perm[i]] for i in range(self.num_vars)): c
-            for mon, c in self.terms.items()
-        }
-        return HomogPoly(self.num_vars, self.degree, terms)
 
     # -- formatting ----------------------------------------------------------
 

@@ -14,9 +14,9 @@ from fractions import Fraction
 
 from hyperaut.autgrp import (
     DiagAut,
-    brute_force_class_count,
     character_exponent,
     enumerate_elements,
+    multiplier,
     smith_normal_form,
     symmetry_group,
 )
@@ -32,6 +32,13 @@ from hyperaut.harness import audit_theorem, delta_supports, example_witness
 from hyperaut.poly import monomials_of_degree, parse
 
 from conftest import fermat
+from oracles import (
+    apply_diagonal,
+    brute_force_class_count,
+    compose,
+    permute,
+    scalar_shift,
+)
 
 
 @contextmanager
@@ -168,9 +175,10 @@ def test_bound_generator_consistency():
                 carriers = 0
                 for support in delta_supports(2, d):
                     delta = support.monomials()
-                    elements = list(enumerate_elements(
-                        symmetry_group(delta), order_filter=lambda k: k == x
-                    ))
+                    elements = [
+                        g for g in enumerate_elements(symmetry_group(delta))
+                        if g.order_in_pgl() == x
+                    ]
                     if not elements:
                         continue
                     carriers += 1
@@ -187,8 +195,8 @@ def test_bound_generator_consistency():
 
 def test_property_suites():
     """Field axioms on 1000 random small elements, Euler relation on the
-    fixtures, action multiplicativity, order invariances, lattice-vs-brute
-    group order agreement."""
+    fixtures, character additivity under products with the substitution
+    oracle, order invariances, lattice-vs-brute group order agreement."""
     with criterion("property-suites", budget_seconds=60):
         rng = random.Random(20240809)
 
@@ -221,21 +229,22 @@ def test_property_suites():
                 total = total + mono * F.partial(i)
             assert total == F * rational(F.degree)
 
-        F = fermat(4, 4)
+        W = parse("X0^4+X1^4+X2^4+X0*X3^3+X1*X4^3", 5)
+        elements = list(enumerate_elements(symmetry_group(W.support())))
         for _ in range(30):
-            lams = [root_of_unity(4, rng.randrange(4)) for _ in range(4)]
-            mus = [root_of_unity(4, rng.randrange(4)) for _ in range(4)]
-            prod = [a * b for a, b in zip(lams, mus)]
-            assert F.apply_diagonal(lams).apply_diagonal(mus) == F.apply_diagonal(prod)
+            g, h = rng.choice(elements), rng.choice(elements)
+            gh = compose(g, h)
+            assert multiplier(W, gh) == multiplier(W, g) * multiplier(W, h)
+            assert apply_diagonal(W, gh.eigenvalues()) == W * multiplier(W, gh)
 
         for _ in range(120):
             level = rng.choice([2, 3, 4, 6, 12])
             exps = tuple(rng.randrange(level) for _ in range(rng.randint(2, 5)))
             g = DiagAut(level, exps)
-            assert g.scalar_shift(rng.randrange(level)).order_in_pgl() == g.order_in_pgl()
+            assert scalar_shift(g, rng.randrange(level)).order_in_pgl() == g.order_in_pgl()
             perm = list(range(len(exps)))
             rng.shuffle(perm)
-            assert g.permute(perm).order_in_pgl() == g.order_in_pgl()
+            assert permute(g, perm).order_in_pgl() == g.order_in_pgl()
 
         supports = [
             fermat(3, 3).support(),

@@ -9,8 +9,6 @@ from hyperaut.autgrp import (
     CapExceededError,
     DiagAut,
     InfiniteGroupError,
-    apply,
-    brute_force_class_count,
     enumerate_elements,
     multiplier,
     parse_diag,
@@ -18,9 +16,11 @@ from hyperaut.autgrp import (
     symmetry_group,
 )
 from hyperaut.cyclo import root_of_unity
+from hyperaut.harness import delta_supports
 from hyperaut.poly import NotSemiInvariantError, parse
 
 from conftest import fermat
+from oracles import apply_diagonal, brute_force_class_count, permute, scalar_shift
 
 
 def test_order_in_pgl():
@@ -37,10 +37,10 @@ def test_order_invariance_under_scalar_shift_and_permutation():
         exps = tuple(rng.randrange(level) for _ in range(rng.randint(2, 5)))
         g = DiagAut(level, exps)
         c = rng.randrange(level)
-        assert g.scalar_shift(c).order_in_pgl() == g.order_in_pgl()
+        assert scalar_shift(g, c).order_in_pgl() == g.order_in_pgl()
         perm = list(range(len(exps)))
         rng.shuffle(perm)
-        assert g.permute(perm).order_in_pgl() == g.order_in_pgl()
+        assert permute(g, perm).order_in_pgl() == g.order_in_pgl()
 
 
 def test_eigen_structure():
@@ -58,18 +58,6 @@ def test_eigen_structure():
     assert g.eigen_structure().r == 5
 
 
-def test_normalized():
-    g, perm = DiagAut(3, (0, 1, 0, 0)).normalized()
-    assert g == DiagAut(3, (1, 0, 0, 0))
-    assert perm == (1, 0, 2, 3)
-
-    g, perm = DiagAut(12, (4, 4, 1, 0, 0)).normalized()
-    assert g == DiagAut(12, (4, 4, 1, 0, 0))
-
-    g, perm = DiagAut(1, (0, 0, 0)).normalized()
-    assert g.is_identity()
-
-
 def test_parse_and_format():
     g = parse_diag("diag(z12^4, z12^4, z12, 1, 1)")
     assert g == DiagAut(12, (4, 4, 1, 0, 0))
@@ -84,7 +72,7 @@ def test_parse_and_format():
 def test_eigenvalues_and_action(klein_quartic):
     g = DiagAut(7, (1, 5, 0))
     assert multiplier(klein_quartic, g) == root_of_unity(7, 1)
-    assert apply(klein_quartic, g) == klein_quartic * root_of_unity(7, 1)
+    assert apply_diagonal(klein_quartic, g.eigenvalues()) == klein_quartic * root_of_unity(7, 1)
     with pytest.raises(NotSemiInvariantError):
         multiplier(fermat(3, 3), DiagAut(15, (5, 3, 0)))
 
@@ -208,9 +196,8 @@ def test_enumerate_elements():
 
 def test_enumerate_with_order_filter():
     group = symmetry_group(parse("X0^3*X1+X1^3*X2+X2^3*X0", 3).support())
-    of_order_7 = list(enumerate_elements(group, order_filter=lambda m: m == 7))
+    of_order_7 = [g for g in enumerate_elements(group) if g.order_in_pgl() == 7]
     assert len(of_order_7) == 6
-    assert all(g.order_in_pgl() == 7 for g in of_order_7)
 
 
 def test_enumeration_no_duplicates():
@@ -243,3 +230,18 @@ def test_brute_force_agreement():
         group = symmetry_group(support)
         count = brute_force_class_count(support, group.exponent)
         assert count == group.order
+
+
+def test_delta_support_group_orders_match_determinant():
+    # Berglund-Huebsch / Krawitz: the diagonal maps fixing the delta
+    # polynomial with exponent matrix A = (d-1)I + P_sigma form a group of
+    # order |det A|; it holds the d scalar ones, so |det A| / d classes
+    # remain in PGL.
+    for n, d in ((2, 5), (2, 6), (3, 4), (3, 5), (4, 4), (4, 5)):
+        for support in delta_supports(n, d):
+            m = support.num_vars
+            A = [[(d - 1) * (i == j) + (support.sigma[i] == j) for j in range(m)]
+                 for i in range(m)]
+            expected = abs(_det(A)) / d
+            group = symmetry_group(support.monomials(), m)
+            assert group.order == expected, (n, d, support.name)

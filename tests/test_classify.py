@@ -19,6 +19,7 @@ from hyperaut.classify import (
     classify_instances,
     divisor_claims,
     normal_form_type,
+    theorem11_claims,
     theorem11_divisors,
     type_level_claims,
     zheng_integers,
@@ -203,6 +204,31 @@ def test_theorem11_divisors():
         theorem11_divisors(2, 4, 2)
     with pytest.raises(ValueError):
         theorem11_divisors(3, 5, 3)
+
+
+def test_theorem11_claims_match_closed_form():
+    # The closed form the audit used before the claims were built from
+    # theorem11_divisors: codim 1 allows d, d-1, and d-2 only for orders
+    # below 3 or on surfaces; codim 2 allows any divisor of a list entry.
+    def codim1(order, n, d):
+        if d % order == 0 or (d - 1) % order == 0:
+            return True
+        if (d - 2) % order == 0:
+            return order < 3 or n == 2
+        return False
+
+    for n in range(2, 7):
+        for d in range(3, 15):
+            if (n, d) == (2, 4):
+                continue
+            one = theorem11_claims(n, d, 1)
+            two = theorem11_claims(n, d, 2)
+            assert [c.value for c in two] == sorted(theorem11_divisors(n, d, 2))
+            for order in range(1, d ** 3):
+                assert claims_satisfied(one, order, n) == codim1(order, n, d), (n, d, order)
+                assert claims_satisfied(two, order, n) == any(
+                    x % order == 0 for x in theorem11_divisors(n, d, 2)
+                ), (n, d, order)
 
 
 def test_badr_bars_divide_zheng():

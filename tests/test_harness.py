@@ -1,26 +1,25 @@
+from itertools import permutations
+
 import pytest
 
 from hyperaut.autgrp import CapExceededError, DiagAut, symmetry_group
 from hyperaut.classify import theorem11_divisors
 from hyperaut.geometry import fixed_locus, smoothness
-from hyperaut.harness import (
-    audit_theorem,
-    brute_force_max_order,
-    canonical_sigma,
-    delta_supports,
-    example_witness,
-)
+from hyperaut.harness import audit_theorem, delta_supports, example_witness
 from hyperaut.poly import parse
 
 from conftest import fermat
+from oracles import brute_force_max_order
 
 
 def test_delta_support_counts():
-    # mappings on unlabeled points: 3, 7, 19, 47 classes for 2..5 vertices
+    # mappings on unlabeled points (OEIS A001372): 3, 7, 19, 47, 130
+    # classes for 2..6 vertices
     assert len(delta_supports(0, 4)) == 3
     assert len(delta_supports(1, 4)) == 7
     assert len(delta_supports(2, 5)) == 19
     assert len(delta_supports(3, 4)) == 47
+    assert len(delta_supports(4, 4)) == 130
     with pytest.raises(CapExceededError):
         delta_supports(5, 3)
 
@@ -43,16 +42,21 @@ def test_fermat_support_is_a_delta_support():
     assert identity.poly() == fermat(4, 4)
 
 
-def test_canonical_sigma_is_canonical():
-    from itertools import permutations
-    sigma = (1, 2, 0, 3)
-    canon = canonical_sigma(sigma)
-    for perm in permutations(range(4)):
-        inv = [0] * 4
-        for i, p in enumerate(perm):
-            inv[p] = i
-        relabeled = tuple(inv[sigma[perm[i]]] for i in range(4))
-        assert canonical_sigma(relabeled) == canon
+def test_delta_supports_are_orbit_minima():
+    # Each representative is the least relabeling of its map, and the
+    # representatives come in strictly increasing order, so no class is
+    # listed twice; the counts above show that none is missing.
+    for n in range(5):
+        m = n + 2
+        sigmas = [s.sigma for s in delta_supports(n, 4)]
+        assert sigmas == sorted(set(sigmas))
+        for sigma in sigmas:
+            for perm in permutations(range(m)):
+                inv = [0] * m
+                for i, p in enumerate(perm):
+                    inv[p] = i
+                relabeled = tuple(inv[sigma[perm[i]]] for i in range(m))
+                assert sigma <= relabeled, (sigma, relabeled)
 
 
 def test_example_witness_properties():

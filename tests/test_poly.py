@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperaut.autgrp import DiagAut, multiplier, parse_diag
 from hyperaut.cyclo import rational, root_of_unity
 from hyperaut.poly import (
     HomogPoly,
@@ -16,6 +17,7 @@ from hyperaut.poly import (
 )
 
 from conftest import fermat
+from oracles import apply_diagonal, compose, permute_variables
 
 
 def test_parse_fermat_cubic():
@@ -57,55 +59,50 @@ def test_str_round_trip():
 
 def test_apply_diagonal_identity_and_fermat():
     F = fermat(4, 4)
-    lam = [root_of_unity(4, 1), rational(1), rational(1), rational(1)]
-    assert F.apply_diagonal(lam) == F
-    assert F.apply_diagonal([rational(1)] * 4) == F
+    g = DiagAut(4, (1, 0, 0, 0))
+    assert multiplier(F, g) == 1
+    assert apply_diagonal(F, g.eigenvalues()) == F
+    assert apply_diagonal(F, [rational(1)] * 4) == F
 
 
 def test_apply_diagonal_single_term():
     F = parse("X0*X3^3", 5)
-    lam = [root_of_unity(12, 4), root_of_unity(12, 4), root_of_unity(12, 1),
-           rational(1), rational(1)]
-    G = F.apply_diagonal(lam)
+    g = DiagAut(12, (4, 4, 1, 0, 0))
+    assert multiplier(F, g) == root_of_unity(12, 4)
+    G = apply_diagonal(F, g.eigenvalues())
     assert G.coeff((1, 0, 0, 3, 0)) == root_of_unity(12, 4)
 
 
 def test_apply_diagonal_rejects_zero():
-    F = fermat(3, 3)
-    with pytest.raises(ZeroDivisionError):
-        F.apply_diagonal([rational(0), rational(1), rational(1)])
+    # A diagonal action is written by roots of unity; zero is refused on input.
+    with pytest.raises(ParseError):
+        parse_diag("diag(0, 1, 1)")
 
 
 def test_semi_invariance_multiplier():
     F = fermat(4, 4)
-    lam = [root_of_unity(4, 1)] + [rational(1)] * 3
-    assert F.semi_invariance_multiplier(lam) == 1
+    assert multiplier(F, DiagAut(4, (1, 0, 0, 0))) == 1
 
     W = parse("X0^4+X1^4+X2^4+X0*X3^3+X1*X4^3", 5)
-    lam = [root_of_unity(12, 4), root_of_unity(12, 4), root_of_unity(12, 1),
-           rational(1), rational(1)]
-    assert W.semi_invariance_multiplier(lam) == root_of_unity(12, 4)
+    assert multiplier(W, DiagAut(12, (4, 4, 1, 0, 0))) == root_of_unity(12, 4)
 
+    # diag(z3, z5, 1) at level 15.
     G = parse("X0^3 + X1^3", 3)
     with pytest.raises(NotSemiInvariantError) as info:
-        G.semi_invariance_multiplier(
-            [root_of_unity(3, 1), root_of_unity(5, 1), rational(1)]
-        )
+        multiplier(G, DiagAut(15, (5, 3, 0)))
     assert set(info.value.witness) == {(3, 0, 0), (0, 3, 0)}
 
 
 def test_multiplier_round_trip():
     W = parse("X0^4+X1^4+X2^4+X0*X3^3+X1*X4^3", 5)
-    lam = [root_of_unity(12, 4), root_of_unity(12, 4), root_of_unity(12, 1),
-           rational(1), rational(1)]
-    t = W.semi_invariance_multiplier(lam)
-    assert W.apply_diagonal(lam) == W * t
+    g = DiagAut(12, (4, 4, 1, 0, 0))
+    assert apply_diagonal(W, g.eigenvalues()) == W * multiplier(W, g)
 
 
 def test_scalars_act_by_degree_power():
     F = parse("X0^3*X1 + X2^4", 3)
     s = root_of_unity(8, 3)
-    assert F.semi_invariance_multiplier([s, s, s]) == s ** 4
+    assert multiplier(F, DiagAut(8, (3, 3, 3))) == s ** 4
 
 
 def test_support_queries(klein_quartic):
@@ -167,7 +164,7 @@ def test_euler_relation():
 
 def test_permute_variables():
     F = parse("X0^2*X1 + X2^3", 3)
-    G = F.permute_variables((2, 0, 1))
+    G = permute_variables(F, (2, 0, 1))
     assert G == parse("X1^2*X2 + X0^3", 3)
 
 
@@ -179,7 +176,7 @@ def test_monomials_of_degree():
 
 
 @st.composite
-def support_and_lambdas(draw):
+def support_and_actions(draw):
     num_vars = draw(st.integers(min_value=2, max_value=4))
     degree = draw(st.integers(min_value=2, max_value=4))
     mons = draw(
@@ -188,17 +185,34 @@ def support_and_lambdas(draw):
             min_size=1, max_size=4,
         )
     )
-    def lam(_):
+    def aut():
         lvl = draw(st.sampled_from([1, 2, 3, 4, 6]))
-        return root_of_unity(lvl, draw(st.integers(min_value=0, max_value=lvl - 1)))
-    lams = [lam(i) for i in range(num_vars)]
-    mus = [lam(i) for i in range(num_vars)]
-    return HomogPoly.from_support(sorted(mons), num_vars), lams, mus
+        exps = draw(st.tuples(*[st.integers(0, lvl - 1)] * num_vars))
+        return DiagAut(lvl, exps)
+    return HomogPoly.from_support(sorted(mons), num_vars), aut(), aut()
+
+
+def _multiplier_or_none(F, g):
+    try:
+        return multiplier(F, g)
+    except NotSemiInvariantError:
+        return None
 
 
 @settings(max_examples=40, deadline=None)
-@given(support_and_lambdas())
+@given(support_and_actions())
 def test_apply_diagonal_multiplicative(data):
-    F, lams, mus = data
-    prod = [a * b for a, b in zip(lams, mus)]
-    assert F.apply_diagonal(lams).apply_diagonal(mus) == F.apply_diagonal(prod)
+    # The substitution oracle is multiplicative; multiplier agrees with it
+    # wherever it is defined, and the characters add under products.
+    F, g, h = data
+    gh = compose(g, h)
+    moved = apply_diagonal(F, gh.eigenvalues())
+    assert apply_diagonal(apply_diagonal(F, g.eigenvalues()), h.eigenvalues()) == moved
+    t = _multiplier_or_none(F, gh)
+    if t is None:
+        assert all(moved != F * (moved.coeff(m) / F.coeff(m)) for m in F.terms)
+    else:
+        assert moved == F * t
+    tg, th = _multiplier_or_none(F, g), _multiplier_or_none(F, h)
+    if tg is not None and th is not None:
+        assert t == tg * th
