@@ -14,7 +14,7 @@ import time
 from hyperaut.classify import UnsupportedRangeError
 from hyperaut.harness import audit_theorem
 
-DEFAULT_PAIRS = ["2:5", "2:6", "3:4", "3:5"]
+DEFAULT_PAIRS = ["2:5", "2:6", "3:4", "3:5", "4:4", "4:5"]
 
 
 def main() -> int:

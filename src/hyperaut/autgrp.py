@@ -18,18 +18,16 @@ from math import gcd, lcm
 
 from .cyclo import CycloNum, root_of_unity
 from .poly import (
+    CapExceededError,
     HomogPoly,
     Monomial,
     NotSemiInvariantError,
     ParseError,
+    check_root_level,
     parse_scalar,
 )
 
 DEFAULT_ENUMERATION_CAP = 10 ** 6
-
-
-class CapExceededError(RuntimeError):
-    """An enumeration or matrix size exceeded the configured cap."""
 
 
 class InfiniteGroupError(ValueError):
@@ -167,6 +165,7 @@ def parse_diag(text: str) -> DiagAut:
         else:
             cur.append(ch)
     parts.append("".join(cur))
+    check_root_level(*parts)  # the parts share one cap, checked before any is parsed
     if len(parts) == 1 and not parts[0].strip():
         raise ParseError("diag() needs at least one eigenvalue")
     values = [parse_scalar(p) for p in parts]

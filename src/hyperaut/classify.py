@@ -358,11 +358,9 @@ def _absorb(claims: list[DivisorClaim]) -> tuple[DivisorClaim, ...]:
 def divisor_claims(
     n: int, d: int, normal_type: str,
     incidence: NormalizedIncidence | None = None,
-    codim: int | None = None,
 ) -> tuple[DivisorClaim, ...]:
     """Public entry point for the branch tables, with range checking."""
     check_range(n, d)
-    del codim  # the branch tables already encode the codimension structure
     return branch_claims(normal_type, n, d, incidence)
 
 

@@ -83,6 +83,9 @@ def cmd_analyze(args) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except CapExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
     n, d = F.num_vars - 2, F.degree
     try:
         check_range(n, d)
@@ -210,6 +213,9 @@ def cmd_symmetries(args) -> int:
     except (ParseError, InfiniteGroupError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except CapExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
     payload = {
         "schema_version": SCHEMA_VERSION,
         "input": {"poly": str(F), "num_vars": F.num_vars},

@@ -1,38 +1,52 @@
 """Geometric certificates: exact smoothness, fixed loci, projection degrees.
 
-Smoothness is decided in two stages.  A cheap vertex screen catches
-coordinate points that lie on the hypersurface with no near-power monomial
-(all partials vanish there, an explicit singular point).  The full test
-checks that the Jacobian ideal contains every form of degree
-e = (n+2)(d-2)+1: for a smooth hypersurface the partials are a regular
-sequence whose Artinian quotient has socle degree (n+2)(d-2), so the degree-e
-graded piece of the ideal fills up exactly when the hypersurface is smooth
-(characteristic zero).  Full rank of the sparse Macaulay matrix proves
-smoothness; a rank deficit proves that a singular point exists (without
-naming one).  One elimination kernel computes that rank along one of three
-coefficient paths, recorded in the certificate's `path`:
+Smoothness is settled by the cheapest certificate that is sound for the
+verdict it gives.  The steps run in this order, and `method` records the
+one that decided:
 
-- "rational": every coefficient is rational, and the matrix is eliminated
-  exactly over Q with Fraction entries.  Sound in both directions.
-- "modular": some coefficient is irrational.  With L the lcm of the
-  coefficient levels, zeta_L is sent to an element of order L in F_p for a
-  prime p = 1 (mod L).  A full rank mod p proves full rank in Q(zeta_L),
-  so this path only ever certifies *smooth*.
-- "cyclotomic": the exact elimination over Q(zeta_L) with CycloNum entries,
-  run when the modular rank falls short, a denominator is divisible by p, or
-  the modular fill-in hits its cap.  Sound in both directions.
+- "vertex_screen" proves *singular* only.  A coordinate point on the
+  hypersurface with no near-power monomial is an explicit singular point
+  (all partials vanish there).
+- "line_screen" proves *singular* only.  For each coordinate line, in
+  lexicographic order, F and its partials are restricted to the line and the
+  gcd of the binary forms is taken exactly (Euclid over Q or Q(zeta)).  A
+  non-constant gcd, or every restriction vanishing identically, gives a
+  common root on the line, a singular point (without naming it).  This
+  catches the Kreuzer-Skarke singularities of delta polynomials, where some
+  vertex is the image of two others.
+- "macaulay_rank" decides both ways.  It checks that the Jacobian ideal
+  contains every form of degree e = (n+2)(d-2)+1: for a smooth hypersurface
+  the partials are a regular sequence whose Artinian quotient has socle
+  degree (n+2)(d-2), so the degree-e graded piece of the ideal fills up
+  exactly when the hypersurface is smooth (characteristic zero).  Full rank
+  of the sparse Macaulay matrix proves smoothness; a rank deficit proves that
+  a singular point exists.
 
-So every *singular* verdict of the rank test comes from an exact path.
+One elimination kernel computes that rank along the coefficient path
+recorded in the certificate's `path`:
+
+- "modular", tried first for every input.  With L the lcm of the coefficient
+  levels, zeta_L is sent to an element of order L in F_p for a prime
+  p = 1 (mod L).  A full rank mod p proves full rank over Q(zeta_L), so this
+  path only ever certifies *smooth*.
+- "rational" (every coefficient rational) or "cyclotomic" (some coefficient
+  irrational): the exact elimination with Fraction or CycloNum entries, run
+  when the modular rank falls short, a denominator is divisible by p, or the
+  modular fill-in hits its cap.  Sound in both directions.
+
+So every *singular* verdict comes from an exact source: a screen or an
+exact elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, reduce
 from math import isqrt, lcm
 
 from .autgrp import CapExceededError, DiagAut, character
-from .cyclo import CycloNum, _frac_poly_divmod, rational
+from .cyclo import ZERO, CycloNum, _frac_poly_divmod, rational
 from .poly import HomogPoly, Monomial, NotSemiInvariantError, monomials_of_degree
 
 DEFAULT_ENTRY_CAP = 200_000
@@ -45,7 +59,7 @@ _MODULAR_FLOOR = 2 ** 29
 @dataclass(frozen=True)
 class SmoothnessCertificate:
     verdict: str                       # "smooth" | "singular" | "inconclusive"
-    method: str | None                 # "vertex_screen" | "macaulay_rank"
+    method: str | None    # "vertex_screen" | "line_screen" | "macaulay_rank"
     witness: tuple[int, ...] | None = None   # coordinate point, when known
     reason: str | None = None
     rank: int | None = None
@@ -63,7 +77,11 @@ class SmoothnessCertificate:
 
 
 def smoothness(F: HomogPoly, entry_cap: int = DEFAULT_ENTRY_CAP) -> SmoothnessCertificate:
-    """Exact smoothness certificate for the hypersurface F = 0."""
+    """Exact smoothness certificate for the hypersurface F = 0.
+
+    The vertex and line screens can only prove *singular*; what they miss
+    goes to the rank test (see the module docstring).
+    """
     if F.is_zero():
         raise ValueError("the zero polynomial does not define a hypersurface")
     profile = F.support_queries()
@@ -75,7 +93,60 @@ def smoothness(F: HomogPoly, entry_cap: int = DEFAULT_ENTRY_CAP) -> SmoothnessCe
             witness=point,
             reason=f"all partials vanish at the coordinate point P{i}",
         )
-    return _macaulay_certificate(F, entry_cap)
+    return _line_screen(F) or _macaulay_certificate(F, entry_cap)
+
+
+def _line_screen(F: HomogPoly) -> SmoothnessCertificate | None:
+    """A singular certificate from a common root on a coordinate line, or None."""
+    forms = [F] + [F.partial(i) for i in range(F.num_vars)]
+    rational_coeffs = all(c.is_rational() for c in F.terms.values())
+    for j in range(F.num_vars):
+        for k in range(j + 1, F.num_vars):
+            deg = _line_gcd_degree(forms, j, k, rational_coeffs)
+            if deg == 0:
+                continue
+            line = f"the line through P{j} and P{k}"
+            return SmoothnessCertificate(
+                verdict="singular", method="line_screen",
+                reason=(
+                    f"F and all its partials vanish on {line}" if deg is None
+                    else f"F and all its partials share a degree-{deg} factor on {line}"
+                ),
+            )
+    return None
+
+
+def _line_gcd_degree(forms, j: int, k: int, rational_coeffs: bool) -> int | None:
+    """Degree of the gcd of the forms restricted to the (j, k) line, None if all vanish.
+
+    A restriction is a binary form in X_j, X_k.  It splits as a power of X_j
+    times a power of X_k times a part with neither root; the gcd takes the
+    least power of each and Euclid's gcd of the parts, read as polynomials
+    in X_j / X_k.
+    """
+    zero = Fraction(0) if rational_coeffs else ZERO
+    low = high = None
+    gcd = None
+    for p in forms:
+        coeffs = {
+            m[j]: c.coeffs[0] if rational_coeffs else c
+            for m, c in p.terms.items() if m[j] + m[k] == p.degree
+        }
+        if not coeffs:
+            continue
+        lo, hi = min(coeffs), max(coeffs)
+        part = [coeffs.get(e, zero) for e in range(lo, hi + 1)]
+        if gcd is None:
+            low, high, gcd = lo, p.degree - hi, part
+        else:
+            low, high = min(low, lo), min(high, p.degree - hi)
+            # Euclid, stopping at a constant remainder: the gcd is then 1.
+            while len(part) > 1:
+                gcd, part = part, _frac_poly_divmod(gcd, part)[1]
+            gcd = part or gcd
+        if low == high == 0 and len(gcd) == 1:
+            return 0
+    return None if gcd is None else low + high + len(gcd) - 1
 
 
 def _macaulay_certificate(F: HomogPoly, entry_cap: int) -> SmoothnessCertificate:
@@ -92,12 +163,12 @@ def _macaulay_certificate(F: HomogPoly, entry_cap: int) -> SmoothnessCertificate
             reason=f"matrix would hold {entries} entries, cap is {entry_cap}",
         )
     fill_cap = max(16 * entry_cap, 10 ** 6)
-    coeffs = [c for p in partials for c in p.terms.values()]
-    path = "rational" if all(c.is_rational() for c in coeffs) else "modular"
+    rational_coeffs = all(c.is_rational() for p in partials for c in p.terms.values())
+    path = "modular"
     try:
         rank = _macaulay_rank(partials, gmons, target, path, fill_cap)
-        if path == "modular" and rank != target:
-            path = "cyclotomic"
+        if rank != target:
+            path = "rational" if rational_coeffs else "cyclotomic"
             rank = _macaulay_rank(partials, gmons, target, path, fill_cap)
     except CapExceededError as exc:
         return SmoothnessCertificate(

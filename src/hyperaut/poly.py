@@ -11,6 +11,10 @@ text grammar shared by the command line tools:
 
 'zN' is a primitive N-th root of unity, 'Xi' the i-th variable, and '/' is
 only allowed when the divisor is a scalar.  Whitespace is insignificant.
+
+An expression lives in Q(zeta_L), L the lcm of its zN levels, and the
+arithmetic on it builds tables of size about L * phi(L).  A text with L above
+MAX_ROOT_LEVEL is refused with CapExceededError before any table is built.
 """
 
 from __future__ import annotations
@@ -19,14 +23,24 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .cyclo import CycloNum, rational, root_of_unity
 
 Monomial = tuple[int, ...]
 
+# Admits the level of every delta-group element for n:d up to 2:8, 3:6 and
+# 4:5 (1,280 at 4:5).  An analyze call at the largest prime below the cap,
+# 2039, peaks at about 81 MB.
+MAX_ROOT_LEVEL = 2048
+
 
 class ParseError(ValueError):
     """The input text does not conform to the polynomial grammar."""
+
+
+class CapExceededError(RuntimeError):
+    """An input, enumeration or matrix size exceeded the configured cap."""
 
 
 class NotHomogeneousError(ValueError):
@@ -291,6 +305,7 @@ class IncidenceProfile:
 # -- parsing -----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z]\w*|\^|\*|/|\+|-|\(|\))")
+_ROOT_RE = re.compile(r"[zZ](\d+)")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -307,8 +322,25 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+def check_root_level(*texts: str) -> None:
+    """Raise CapExceededError when the zN levels of the texts have an lcm
+    above MAX_ROOT_LEVEL."""
+    level = 1
+    for text in texts:
+        for tok in _tokenize(text):
+            m = _ROOT_RE.fullmatch(tok)
+            if m:
+                level = lcm(level, int(m.group(1)))
+    if level > MAX_ROOT_LEVEL:
+        raise CapExceededError(
+            f"root-of-unity level {level} (the lcm of the zN levels) exceeds "
+            f"the cap of {MAX_ROOT_LEVEL}"
+        )
+
+
 class _Parser:
     def __init__(self, text: str, num_vars: int):
+        check_root_level(text)
         self.tokens = _tokenize(text)
         self.pos = 0
         self.num_vars = num_vars
@@ -387,7 +419,7 @@ class _Parser:
             return value
         if tok.isdigit():
             return {self._unit(): rational(int(tok))}
-        m = re.fullmatch(r"[zZ](\d+)", tok)
+        m = _ROOT_RE.fullmatch(tok)
         if m:
             level = int(m.group(1))
             if level < 1:

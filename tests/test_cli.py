@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from hyperaut.autgrp import parse_diag
 from hyperaut.cli import main
+from hyperaut.cyclo import _reduced_powers, root_of_unity
+from hyperaut.poly import MAX_ROOT_LEVEL, parse
 
 
 def run(capsys, *argv):
@@ -53,6 +56,35 @@ def test_analyze_singular(capsys):
     )
     assert code == 3
     assert "[0:0:0:1]" in out
+
+
+@pytest.mark.parametrize("poly, aut", [
+    ("X0^3+X1^3+X2^3+X3^3", "diag(z123456, 1, 1, 1)"),
+    ("X0^3+z123456*X1^3+X2^3+X3^3", "diag(z3, 1, 1, 1)"),
+    # Levels under the cap whose lcm is above it, in one diag(...) or one poly.
+    ("X0^3+X1^3+X2^3+X3^3", "diag(z1279, z1277, 1, 1)"),
+    ("X0^3+z1279*X1^3+z1277*X2^3+X3^3", "diag(z3, 1, 1, 1)"),
+])
+def test_analyze_refuses_root_levels_above_the_cap(capsys, poly, aut):
+    root_of_unity(3)  # the admitted diag(z3, ...) may build its table first
+    before = _reduced_powers.cache_info().misses
+    code, out, err = run(capsys, "analyze", "--poly", poly, "--aut", aut)
+    assert code == 4
+    assert out == ""
+    assert f"exceeds the cap of {MAX_ROOT_LEVEL}" in err
+    assert _reduced_powers.cache_info().misses == before
+
+
+def test_symmetries_refuses_root_levels_above_the_cap(capsys):
+    code, _, err = run(capsys, "symmetries", "X0^3+z123456*X1^3+X2^3")
+    assert code == 4
+    assert f"exceeds the cap of {MAX_ROOT_LEVEL}" in err
+
+
+def test_parsers_admit_the_largest_delta_group_level():
+    # 1,280 is the largest element level of a delta group up to n:d = 4:5.
+    assert parse_diag("diag(z1280, z1280^3, 1, 1, 1, 1)").level == 1280
+    assert parse("z1280*X0^3 + X1^3", 2).terms[(3, 0)] == root_of_unity(1280)
 
 
 def test_analyze_excluded_pair(capsys):

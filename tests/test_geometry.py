@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from hyperaut.autgrp import CapExceededError, DiagAut
 from hyperaut.cyclo import CycloNum, root_of_unity
 from hyperaut.geometry import (
+    DEFAULT_ENTRY_CAP,
+    _line_screen,
+    _macaulay_certificate,
     _macaulay_rank,
     _macaulay_system,
     _prime_with_root,
@@ -45,13 +48,19 @@ def test_witness_family_smooth():
 
 
 def test_macaulay_detects_hidden_singularity():
-    # Singular away from the coordinate points, so the vertex screen passes
-    # and the rank computation must find the deficit.
+    # Singular away from the coordinate points, so the vertex screen passes.
+    # The singular points lie on the line (1, 2), where every partial but
+    # the first vanishes and the first restricts to X1^4 + X2^4: the line
+    # screen catches them, and the rank computation must find the deficit.
     F = parse("X0^4*X1 + X0*X1^4 + X0*X2^4 + X2*X3^4", 4)
     cert = smoothness(F)
     assert cert.verdict == "singular"
-    assert cert.method == "macaulay_rank"
-    assert cert.rank < cert.target_rank
+    assert cert.method == "line_screen"
+    assert cert.reason.endswith("degree-4 factor on the line through P1 and P2")
+    rank_cert = _macaulay_certificate(F, DEFAULT_ENTRY_CAP)
+    assert rank_cert.verdict == "singular"
+    assert rank_cert.method == "macaulay_rank"
+    assert rank_cert.rank < rank_cert.target_rank
 
 
 def test_smoothness_cap_is_honest():
@@ -116,10 +125,18 @@ def test_paths_agree_with_exact_elimination_on_delta_grid():
             exact, target = _rank(F, "cyclotomic")
             assert _rank(F, "rational") == (exact, target), support.name
             assert _rank(F, "modular") == (exact, target), support.name
-            cert = smoothness(F)
-            assert cert.path == "rational"
+            # The rank kernel: mod p settles the smooth supports, and the
+            # rational elimination rechecks the singular ones.
+            cert = _macaulay_certificate(F, DEFAULT_ENTRY_CAP)
+            assert cert.path == ("modular" if exact == target else "rational")
             assert (cert.rank, cert.target_rank) == (exact, target)
             assert cert.is_smooth == (exact == target)
+            # The line screen fires exactly on the rank-singular supports,
+            # and smoothness takes its verdict.
+            assert (_line_screen(F) is None) == (exact == target), support.name
+            cert = smoothness(F)
+            assert cert.is_smooth == (exact == target)
+            assert cert.method == ("macaulay_rank" if exact == target else "line_screen")
 
 
 def test_paths_agree_with_exact_elimination_on_cyclotomic_fixtures():
@@ -128,10 +145,12 @@ def test_paths_agree_with_exact_elimination_on_cyclotomic_fixtures():
         exact, target = _rank(F, "cyclotomic")
         assert (exact == target) == smooth, text
         assert _rank(F, "modular") == (exact, target), text
-        cert = smoothness(F)
+        cert = _macaulay_certificate(F, DEFAULT_ENTRY_CAP)
         assert cert.is_smooth == smooth
         assert cert.path == ("modular" if smooth else "cyclotomic")
         assert (cert.rank, cert.target_rank) == (exact, target)
+        assert _line_screen(F) is None or not smooth, text
+        assert smoothness(F).is_smooth == smooth
 
 
 def test_delta_grid_against_kreuzer_skarke():
@@ -192,14 +211,21 @@ def test_modular_smooth_implies_exact_smooth(F):
 
 
 def test_denominator_divisible_by_p_falls_back_to_exact():
-    p, _ = _prime_with_root(3)
-    F = parse("X0^3 + X1^3 + X2^3", 3) + HomogPoly(
-        3, 3, {(1, 1, 1): root_of_unity(3) * Fraction(1, p)}
-    )
-    assert _rank(F, "modular")[0] is None
-    cert = smoothness(F)
-    assert cert.verdict == "smooth"
-    assert cert.path == "cyclotomic"
+    for level, path in ((3, "cyclotomic"), (1, "rational")):
+        p, _ = _prime_with_root(level)
+        F = parse("X0^3 + X1^3 + X2^3", 3) + HomogPoly(
+            3, 3, {(1, 1, 1): root_of_unity(level) * Fraction(1, p)}
+        )
+        assert _rank(F, "modular")[0] is None
+        cert = smoothness(F)
+        assert cert.verdict == "smooth"
+        assert cert.path == path
+        assert cert.rank == cert.target_rank
+
+
+def test_rational_inputs_try_the_modular_rank_first():
+    cert = smoothness(fermat(4, 3))
+    assert (cert.verdict, cert.path) == ("smooth", "modular")
     assert cert.rank == cert.target_rank
 
 
@@ -207,9 +233,76 @@ def test_singular_verdicts_come_from_exact_paths():
     inputs = [support.poly() for n, d in DELTA_GRID[:3] for support in delta_supports(n, d)]
     inputs += [parse(text, v) for text, v, _ in CYCLOTOMIC_FIXTURES]
     inputs.append(parse("X0^3 + X1^3 + X2^3 - 3*X0*X1*X2", 3))
-    singular = [c for c in map(smoothness, inputs) if c.verdict == "singular"]
+    singular = [(F, c) for F, c in ((F, smoothness(F)) for F in inputs)
+                if c.verdict == "singular"]
     assert singular
-    assert all(c.path in EXACT_PATHS for c in singular)
+    # Each singular verdict of smoothness is a screen or an exact rank.
+    assert {c.method for _, c in singular} == {"line_screen", "macaulay_rank"}
+    assert all(c.path in EXACT_PATHS for _, c in singular if c.method == "macaulay_rank")
+    # The rank kernel, called directly, decides every one on an exact path.
+    for F, _ in singular:
+        cert = _macaulay_certificate(F, DEFAULT_ENTRY_CAP)
+        assert cert.verdict == "singular" and cert.path in EXACT_PATHS
+
+
+# -- the coordinate-line screen ------------------------------------------------------
+# The delta grid and the cyclotomic fixtures are also checked against the
+# rank kernel in the two test_paths_agree_* tests above.
+
+HESSE_SINGULAR = (
+    "X0^3 + X1^3 + X2^3 - 3*X0*X1*X2",
+    "X0^3 + X1^3 + X2^3 - 3*z3*X0*X1*X2",
+)
+
+
+def test_line_screen_never_fires_on_rank_smooth_inputs():
+    inputs = [fermat(v, d) for v in (3, 4, 5) for d in (2, 3, 4)]
+    inputs += [example_witness(d)[0] for d in (3, 4, 5)]
+    inputs += [parse(text, v) for text, v, smooth in CYCLOTOMIC_FIXTURES if smooth]
+    for F in inputs:
+        assert _macaulay_certificate(F, DEFAULT_ENTRY_CAP).is_smooth, str(F)
+        assert _line_screen(F) is None, str(F)
+
+
+def test_line_screen_agrees_with_kreuzer_skarke():
+    for n, d in DELTA_GRID + ((4, 4), (4, 5)):
+        for support in delta_supports(n, d):
+            hit = _line_screen(support.poly())
+            assert (hit is None) == _ks_smooth(support.sigma), support.name
+
+
+def test_line_screen_misses_the_hesse_members_and_the_rank_test_decides():
+    # The singular points of these cubics have all coordinates nonzero.
+    for text in HESSE_SINGULAR:
+        F = parse(text, 3)
+        assert _line_screen(F) is None
+        cert = smoothness(F)
+        assert cert.verdict == "singular"
+        assert cert.method == "macaulay_rank"
+        assert cert.path in EXACT_PATHS
+
+
+def test_line_screen_reports_a_line_inside_the_singular_locus():
+    # F lies in (X2, X3)^2, so it is singular along the line through P0 and
+    # P1.  Its coordinate points are singular too, and smoothness reports
+    # the vertex screen, which runs first.
+    F = parse("X0*X2^2 + X1*X3^2", 4)
+    cert = _line_screen(F)
+    assert cert.verdict == "singular"
+    assert cert.reason == "F and all its partials vanish on the line through P0 and P1"
+    assert smoothness(F).method == "vertex_screen"
+
+
+@settings(max_examples=50, deadline=None)
+@given(cyclotomic_sparse_polys())
+def test_line_screen_against_rank_on_cyclotomic_family(F):
+    # A screen hit must be rank-singular; a rank-smooth input gets no hit.
+    if F.is_zero():
+        return
+    hit = _line_screen(F)
+    if hit is not None:
+        assert hit.verdict == "singular" and hit.method == "line_screen"
+        assert _macaulay_certificate(F, DEFAULT_ENTRY_CAP).verdict == "singular"
 
 
 # -- the elimination kernel against a dense reference -------------------------------
@@ -329,7 +422,7 @@ def test_singular_cyclotomic_certificate_inverts_fewer_than_rank(monkeypatch):
         if smooth:
             continue
         calls.clear()
-        cert = smoothness(parse(text, v))
+        cert = _macaulay_certificate(parse(text, v), DEFAULT_ENTRY_CAP)
         assert cert.verdict == "singular" and cert.path == "cyclotomic"
         assert 0 < len(calls) < cert.rank
 
