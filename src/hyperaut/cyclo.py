@@ -218,6 +218,8 @@ class CycloNum:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return self._scale(other)
         try:
             other = self._coerce(other)
         except TypeError:
@@ -406,8 +408,7 @@ def root_of_unity(level: int, k: int = 1) -> CycloNum:
     """
     if level < 1:
         raise ValueError("level must be a positive integer")
-    k %= level
-    return _reduce_power_vector(level, [0] * k + [1])
+    return _make(level, tuple(Fraction(c) for c in _reduced_powers(level)[k % level]))
 
 
 def rational(q) -> CycloNum:

@@ -36,6 +36,13 @@ recorded in the certificate's `path`:
 
 So every *singular* verdict comes from an exact source: a screen or an
 exact elimination.
+
+The fixed locus of a diagonal automorphism splits into its eigenspace
+slices; F is split into the matching pieces in one pass over its terms.  A
+slice on a line is finite unless its piece vanishes, and its points are
+counted by the binary gcd of the line screen: the distinct roots of the
+piece f number deg f minus the degree of the gcd of its two partials, with
+Fraction arithmetic when f is rational.
 """
 
 from __future__ import annotations
@@ -43,10 +50,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import isqrt, lcm
+from math import comb, isqrt, lcm
 
 from .autgrp import CapExceededError, DiagAut, character
-from .cyclo import ZERO, CycloNum, _frac_poly_divmod, rational
+from .cyclo import ZERO, CycloNum, _frac_poly_divmod
 from .poly import HomogPoly, Monomial, NotSemiInvariantError, monomials_of_degree
 
 DEFAULT_ENTRY_CAP = 200_000
@@ -155,12 +162,11 @@ def _macaulay_certificate(F: HomogPoly, entry_cap: int) -> SmoothnessCertificate
             verdict="smooth", method="macaulay_rank",
             reason="degree below 2, a linear form is smooth",
         )
-    partials, gmons, e, target = _macaulay_system(F)
-    entries = sum(len(p.terms) for p in partials) * len(gmons)
-    if entries > entry_cap:
+    try:
+        partials, gmons, e, target = _macaulay_system(F, entry_cap)
+    except CapExceededError as exc:
         return SmoothnessCertificate(
-            verdict="inconclusive", method="macaulay_rank",
-            reason=f"matrix would hold {entries} entries, cap is {entry_cap}",
+            verdict="inconclusive", method="macaulay_rank", reason=str(exc),
         )
     fill_cap = max(16 * entry_cap, 10 ** 6)
     rational_coeffs = all(c.is_rational() for p in partials for c in p.terms.values())
@@ -190,13 +196,20 @@ def _macaulay_certificate(F: HomogPoly, entry_cap: int) -> SmoothnessCertificate
     )
 
 
-def _macaulay_system(F: HomogPoly):
-    """Partials, multiplier monomials, saturating degree e and the target rank."""
+def _macaulay_system(F: HomogPoly, entry_cap: int = DEFAULT_ENTRY_CAP):
+    """Partials, multiplier monomials, saturating degree e and the target rank.
+
+    The matrix size is counted before any monomial is enumerated, and a
+    matrix of more than entry_cap entries raises CapExceededError.
+    """
     v, d = F.num_vars, F.degree
     e = v * (d - 2) + 1
     partials = [p for p in (F.partial(i) for i in range(v)) if not p.is_zero()]
-    gmons = monomials_of_degree(v, e - (d - 1))
-    return partials, gmons, e, len(monomials_of_degree(v, e))
+    # There are comb(k + v - 1, v - 1) monomials of degree k in v variables.
+    entries = sum(len(p.terms) for p in partials) * comb(e - d + v, v - 1)
+    if entries > entry_cap:
+        raise CapExceededError(f"matrix would hold {entries} entries, cap is {entry_cap}")
+    return partials, monomials_of_degree(v, e - (d - 1)), e, comb(e + v - 1, v - 1)
 
 
 def _macaulay_rank(partials, gmons, target: int, path: str, fill_cap: int) -> int | None:
@@ -371,20 +384,23 @@ def fixed_locus(F: HomogPoly, g: DiagAut) -> FixedLocusReport:
     """Per-eigenspace decomposition of the fixed point set on X.
 
     Requires g to act on F by a single scalar; raises NotSemiInvariantError
-    otherwise.  Isolated fixed points on one-dimensional slices are counted
-    without multiplicity; for a verified-smooth hypersurface a repeated root
-    of the restricted binary form cannot occur, so the distinction only
-    matters on unverified inputs.  Line containment is decided only for full
-    linear slices; a positive-dimensional slice that is a hypersurface in
-    its eigenspace leaves contains_line undecided (None).
+    otherwise.  F is split into its eigenspace pieces in one pass over its
+    terms.  Isolated fixed points on one-dimensional slices are counted
+    without multiplicity: the count is the degree of the piece, a binary
+    form f, minus the degree of the gcd of its two partials (the repeated
+    part of f, by Euler's relation), taken by the same exact binary gcd as
+    the line screen.  For a verified-smooth hypersurface a repeated root
+    cannot occur, so the distinction only matters on unverified inputs.
+    Line containment is decided only for full linear slices; a
+    positive-dimensional slice that is a hypersurface in its eigenspace
+    leaves contains_line undecided (None).
     """
     character(F, g)
     n = F.num_vars - 2
+    blocks = g.eigen_structure().blocks
     slices = []
-    for block in g.eigen_structure().blocks:
-        complement = [i for i in range(F.num_vars) if i not in block.indices]
-        restriction = F.restrict(complement) if complement else F
-        zero = restriction.is_zero()
+    for block, piece in zip(blocks, _eigen_pieces(F, blocks)):
+        zero = not piece
         ambient = len(block.indices) - 1
         if zero:
             dim = ambient
@@ -394,11 +410,10 @@ def fixed_locus(F: HomogPoly, g: DiagAut) -> FixedLocusReport:
             count = 0
         else:
             dim = ambient - 1
-            count = (
-                _distinct_binary_roots(restriction, block.indices)
-                if ambient == 1
-                else None
-            )
+            count = None
+            if ambient == 1:
+                f = HomogPoly(F.num_vars, F.degree, piece)
+                count = _distinct_binary_roots(f, *block.indices)
         slices.append(
             SliceInfo(
                 indices=tuple(block.indices),
@@ -430,26 +445,38 @@ def fixed_locus(F: HomogPoly, g: DiagAut) -> FixedLocusReport:
     )
 
 
-def _distinct_binary_roots(restriction: HomogPoly, indices) -> int:
-    """Distinct projective roots of a nonzero binary form, without multiplicity."""
-    i, j = indices
-    deg = restriction.degree
-    coeffs = [rational(0)] * (deg + 1)
-    for mon, c in restriction.terms.items():
-        coeffs[mon[i]] = c
-    # Dehomogenize with respect to X_j; the point with X_j = 0 is a root
-    # exactly when the top coefficient vanishes.
-    p = list(coeffs)
-    while p and not p[-1]:
-        p.pop()
-    at_infinity = 1 if len(p) <= deg else 0
-    dp = [p[k] * k for k in range(1, len(p))]
-    # The last nonzero remainder of Euclid's algorithm on p and p' is their gcd.
-    a, b = p, dp
-    while b:
-        a, b = b, _frac_poly_divmod(a, b)[1]
-    distinct_finite = (len(p) - 1) - (len(a) - 1)
-    return distinct_finite + at_infinity
+def _eigen_pieces(F: HomogPoly, blocks) -> list[dict[Monomial, CycloNum]]:
+    """The terms of F restricted to each block's coordinates, in one pass.
+
+    A monomial belongs to the block that holds its whole support, if any.
+    """
+    if F.degree == 0:  # a constant restricts to itself on every block
+        return [dict(F.terms) for _ in blocks]
+    owner = [0] * F.num_vars
+    for b, block in enumerate(blocks):
+        for i in block.indices:
+            owner[i] = b
+    pieces: list[dict[Monomial, CycloNum]] = [{} for _ in blocks]
+    for mon, c in F.terms.items():
+        held = {owner[i] for i, e in enumerate(mon) if e}
+        if len(held) == 1:
+            pieces[held.pop()][mon] = c
+    return pieces
+
+
+def _distinct_binary_roots(f: HomogPoly, j: int, k: int) -> int:
+    """Distinct projective roots of a nonzero binary form f in X_j, X_k.
+
+    In characteristic zero the gcd of the two partials is the repeated part
+    of f: the product of l^(e-1) over the linear factors l^e of f, since
+    Euler's relation deg(f) f = X_j f_j + X_k f_k makes every common factor
+    of the partials divide f.  So the count is deg f minus the degree of
+    gcd(f_j, f_k).  Both partials vanish only when f is a constant, which
+    has no roots.
+    """
+    rational_coeffs = all(c.is_rational() for c in f.terms.values())
+    repeated = _line_gcd_degree([f.partial(j), f.partial(k)], j, k, rational_coeffs)
+    return f.degree - (repeated or 0)
 
 
 # -- projections and the Galois criterion --------------------------------------

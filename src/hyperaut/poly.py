@@ -208,27 +208,36 @@ class HomogPoly:
     # -- support structure ---------------------------------------------------
 
     def support_queries(self) -> "IncidenceProfile":
-        d = self.degree
-        on_x = []
-        partners = []
-        for i in range(self.num_vars):
-            pure = tuple(d if j == i else 0 for j in range(self.num_vars))
-            on_x.append(pure not in self.terms)
-            near = set()
-            for j in range(self.num_vars):
-                if j == i:
-                    continue
-                mon = tuple(
-                    (d - 1 if k == i else 0) + (1 if k == j else 0)
-                    for k in range(self.num_vars)
-                )
-                if mon in self.terms:
-                    near.add(j)
-            partners.append(frozenset(near))
-        flags = tuple(
-            i for i in range(self.num_vars) if on_x[i] and not partners[i]
-        )
-        return IncidenceProfile(tuple(on_x), tuple(partners), flags)
+        """Vertex membership and near-power partners, in one pass over the terms.
+
+        A pure power X_i^d takes P_i off the hypersurface and X_i^(d-1)*X_j
+        makes j a partner of i.  In degree 2 the monomial X_i*X_j is a near
+        power for both i and j; in degree 1 the near powers of X_i are the
+        other variables themselves.  A constant is X_i^0 for every i.
+        """
+        v, d = self.num_vars, self.degree
+        on_x = [True] * v
+        near: list[set[int]] = [set() for _ in range(v)]
+        for mon in self.terms:
+            support = [i for i, e in enumerate(mon) if e]
+            if not support:
+                on_x = [False] * v
+            elif len(support) == 1:
+                i = support[0]
+                on_x[i] = False
+                if d == 1:
+                    for k in range(v):
+                        if k != i:
+                            near[k].add(i)
+            elif len(support) == 2:
+                i, j = support
+                if mon[i] == d - 1:
+                    near[i].add(j)
+                if mon[j] == d - 1:
+                    near[j].add(i)
+        partners = tuple(frozenset(p) for p in near)
+        flags = tuple(i for i in range(v) if on_x[i] and not partners[i])
+        return IncidenceProfile(tuple(on_x), partners, flags)
 
     def restrict(self, zero_set) -> "HomogPoly":
         """Set the listed variables to zero; may give the zero polynomial."""

@@ -13,8 +13,9 @@ from hyperaut.autgrp import (
     DiagAut,
     symmetry_group,
 )
+from hyperaut.cyclo import _frac_poly_divmod, rational
 from hyperaut.geometry import fixed_locus
-from hyperaut.poly import HomogPoly
+from hyperaut.poly import HomogPoly, IncidenceProfile
 
 
 def apply_diagonal(F: HomogPoly, lambdas) -> HomogPoly:
@@ -117,3 +118,63 @@ def brute_force_max_order(
             continue
         best = max(best, g.order_in_pgl())
     return best
+
+
+def euclid_root_count(form: HomogPoly, j: int, k: int) -> int:
+    """Distinct projective roots of a nonzero binary form in X_j, X_k.
+
+    Dehomogenizes with respect to X_k and runs Euclid on p and p' with the
+    CycloNum coefficients as they are: the distinct finite roots number
+    deg p - deg gcd(p, p'), plus one when [1:0] is a root.
+    """
+    deg = form.degree
+    coeffs = [rational(0)] * (deg + 1)
+    for mon, c in form.terms.items():
+        coeffs[mon[j]] = c
+    p = list(coeffs)
+    while p and not p[-1]:
+        p.pop()
+    at_infinity = 1 if len(p) <= deg else 0
+    a, b = p, [p[e] * e for e in range(1, len(p))]
+    while b:
+        a, b = b, _frac_poly_divmod(a, b)[1]
+    return (len(p) - len(a)) + at_infinity
+
+
+def binary_form_from_roots(num_vars: int, j: int, k: int, roots) -> HomogPoly:
+    """The product of (s X_j - r X_k)^m over roots [r:s] with multiplicity m.
+
+    roots lists ((r, s), m) with r, s CycloNum values, not both zero; the
+    form vanishes exactly at the given points of the (j, k) line.
+    """
+    def mon(i):
+        return tuple(1 if x == i else 0 for x in range(num_vars))
+
+    form = HomogPoly(num_vars, 0, {(0,) * num_vars: rational(1)})
+    for (r, s), m in roots:
+        factor = HomogPoly(num_vars, 1, {mon(j): s, mon(k): -r})
+        for _ in range(m):
+            form = form * factor
+    return form
+
+
+def probe_support_queries(F: HomogPoly) -> IncidenceProfile:
+    """Vertex membership and near-power partners by probing each monomial.
+
+    For every vertex i, looks up X_i^d and every X_i^(d-1)*X_j in the terms.
+    """
+    d, v = F.degree, F.num_vars
+    on_x = []
+    partners = []
+    for i in range(v):
+        on_x.append(tuple(d if x == i else 0 for x in range(v)) not in F.terms)
+        near = set()
+        for j in range(v):
+            if j == i:
+                continue
+            mon = tuple((d - 1 if x == i else 0) + (1 if x == j else 0) for x in range(v))
+            if mon in F.terms:
+                near.add(j)
+        partners.append(frozenset(near))
+    missing = tuple(i for i in range(v) if on_x[i] and not partners[i])
+    return IncidenceProfile(tuple(on_x), tuple(partners), missing)

@@ -1,6 +1,6 @@
 import pytest
 
-from hyperaut.autgrp import DiagAut
+from hyperaut.autgrp import DiagAut, enumerate_elements, symmetry_group
 from hyperaut.classify import (
     TYPE_I,
     TYPE_II,
@@ -11,6 +11,7 @@ from hyperaut.classify import (
     OUT_OF_SCOPE,
     DivisorClaim,
     UnsupportedRangeError,
+    VertexSmoothnessError,
     badr_bars_divisors,
     branch_claims,
     build_incidence,
@@ -25,7 +26,7 @@ from hyperaut.classify import (
     zheng_integers,
 )
 from hyperaut.geometry import fixed_locus
-from hyperaut.harness import example_witness
+from hyperaut.harness import delta_supports, example_witness
 from hyperaut.poly import parse
 
 from conftest import fermat
@@ -174,6 +175,33 @@ def test_classify_instances_cover_multiple_components():
 
 
 # -- numeric bound generators -------------------------------------------------------
+
+
+def test_memoised_branch_claims_match_a_fresh_computation():
+    # On the 2:5 and 3:4 delta groups every instance's claims equal the
+    # uncached branch computation, its incidence the public build_incidence,
+    # and its block piece the restriction of F; the sweep meets the same
+    # branches over and over.
+    branch_claims.cache_clear()
+    instances = 0
+    for n, d in ((2, 5), (3, 4)):
+        for support in delta_supports(n, d):
+            F = support.poly()
+            for g in enumerate_elements(symmetry_group(support.monomials(), n + 2)):
+                try:
+                    found = classify_instances(F, g, fixed_locus(F, g), n, d)
+                except VertexSmoothnessError:
+                    continue
+                for inst in found:
+                    assert inst.claims == branch_claims.__wrapped__(
+                        inst.normal_type, n, d, inst.incidence
+                    )
+                    assert build_incidence(F, g, inst.unit_indices)[0] == inst.incidence
+                    assert inst.incidence.block_piece_zero == F.restrict(inst.unit_indices).is_zero()
+                    instances += 1
+    info = branch_claims.cache_info()
+    assert info.hits + info.misses == instances
+    assert info.hits > 10 * info.misses
 
 
 def test_badr_bars():

@@ -6,7 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperaut.cyclo import CycloNum, cyclotomic_polynomial, euler_phi, rational, root_of_unity
+from hyperaut.cyclo import (
+    CycloNum,
+    _reduce_power_vector,
+    cyclotomic_polynomial,
+    euler_phi,
+    rational,
+    root_of_unity,
+)
+
+
+def test_root_of_unity_reads_the_reduced_power_table():
+    # Row k of the table against folding the power vector zeta^k.
+    for level in range(1, 41):
+        for k in range(-level, 2 * level):
+            got = root_of_unity(level, k)
+            want = _reduce_power_vector(level, [0] * (k % level) + [1])
+            assert got.level == want.level and got.coeffs == want.coeffs
+            assert all(type(c) is Fraction for c in got.coeffs)
 
 
 def test_cyclotomic_polynomials():

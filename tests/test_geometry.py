@@ -5,10 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperaut.autgrp import CapExceededError, DiagAut
-from hyperaut.cyclo import CycloNum, root_of_unity
+from hyperaut import geometry
+from hyperaut.autgrp import (
+    CapExceededError,
+    DiagAut,
+    EigenBlock,
+    enumerate_elements,
+    symmetry_group,
+)
+from hyperaut.cyclo import CycloNum, rational, root_of_unity
 from hyperaut.geometry import (
     DEFAULT_ENTRY_CAP,
+    _distinct_binary_roots,
+    _eigen_pieces,
     _line_screen,
     _macaulay_certificate,
     _macaulay_rank,
@@ -21,10 +30,10 @@ from hyperaut.geometry import (
     smoothness,
 )
 from hyperaut.harness import delta_supports, example_witness
-from hyperaut.poly import HomogPoly, NotSemiInvariantError, parse
+from hyperaut.poly import HomogPoly, NotSemiInvariantError, monomials_of_degree, parse
 
 from conftest import fermat
-from oracles import permute_variables
+from oracles import binary_form_from_roots, euclid_root_count, permute_variables
 
 
 def test_fermat_cubic_surface_smooth():
@@ -66,6 +75,24 @@ def test_macaulay_detects_hidden_singularity():
 def test_smoothness_cap_is_honest():
     cert = smoothness(fermat(4, 5), entry_cap=10)
     assert cert.verdict == "inconclusive"
+
+
+def test_entry_cap_is_checked_before_enumerating_monomials():
+    # The degree-200 Fermat surface passes both screens; its Macaulay matrix
+    # is counted, not built, and refused without touching the monomial cache.
+    F = parse("X0^200 + X1^200 + X2^200 + X3^200", 4)
+    before = monomials_of_degree.cache_info()
+    cert = smoothness(F)
+    assert monomials_of_degree.cache_info() == before
+    assert (cert.verdict, cert.method, cert.path) == ("inconclusive", "macaulay_rank", None)
+    assert cert.reason == f"matrix would hold {4 * 35_284_690} entries, cap is {DEFAULT_ENTRY_CAP}"
+    # The count is the size of the matrix that would be built.
+    F = fermat(4, 5)
+    partials, gmons, _, target = _macaulay_system(F)
+    entries = sum(len(p.terms) for p in partials) * len(gmons)
+    assert target == len(monomials_of_degree(4, 13))
+    assert smoothness(F, entry_cap=entries - 1).verdict == "inconclusive"
+    assert smoothness(F, entry_cap=entries).verdict == "smooth"
 
 
 def test_smoothness_with_cyclotomic_coefficients():
@@ -564,6 +591,159 @@ def test_slice_dimensions_against_finite_field_counts():
                 assert got == (p ** (k + 1) - 1) // (p - 1)
             elif s.ambient_dim == 1:
                 assert got <= s.point_count
+
+
+def _delta_group_cases(grid):
+    for n, d in grid:
+        for support in delta_supports(n, d):
+            F = support.poly()
+            group = symmetry_group(support.monomials(), support.num_vars)
+            for g in enumerate_elements(group):
+                yield F, g
+
+
+def test_point_counts_match_the_euclid_oracle_on_delta_groups():
+    # Every one-dimensional slice of every element of the delta groups: the
+    # count from the gcd of the partials against Euclid on p and p' over
+    # Q(zeta), and each slice's piece against the restriction of F.
+    lines = 0
+    for F, g in _delta_group_cases(DELTA_GRID):
+        for s in fixed_locus(F, g).slices:
+            complement = [i for i in range(F.num_vars) if i not in s.indices]
+            restriction = F.restrict(complement) if complement else F
+            assert s.restriction_zero == restriction.is_zero()
+            if s.ambient_dim == 1 and not s.restriction_zero:
+                assert s.point_count == euclid_root_count(restriction, *s.indices)
+                lines += 1
+    assert lines > 1000
+
+
+def test_point_counts_need_no_cyclotomic_arithmetic_for_rational_forms(monkeypatch):
+    # Over Q the slice counts run Euclid on Fractions: no CycloNum division
+    # and no polynomial division with CycloNum entries.
+    calls = {"division": 0, "divmod": 0}
+    for name in ("__truediv__", "__rtruediv__", "inverse"):
+        method = getattr(CycloNum, name)
+
+        def counting(*args, _method=method):
+            calls["division"] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(CycloNum, name, counting)
+    divmod_ = geometry._frac_poly_divmod
+
+    def counting_divmod(a, b):
+        if any(isinstance(c, CycloNum) for c in list(a) + list(b)):
+            calls["divmod"] += 1
+        return divmod_(a, b)
+
+    monkeypatch.setattr(geometry, "_frac_poly_divmod", counting_divmod)
+    counted = sum(
+        1 for F, g in _delta_group_cases(DELTA_GRID[:2])
+        for s in fixed_locus(F, g).slices if s.point_count is not None and s.ambient_dim == 1
+    )
+    assert counted > 100
+    assert calls == {"division": 0, "divmod": 0}
+
+
+# Distinct points of the line, as [r:s] pairs in Q(zeta_12): 0, infinity,
+# rationals and roots of unity.
+_LINE_POINTS = (
+    (rational(0), rational(1)),
+    (rational(1), rational(0)),
+    (rational(1), rational(1)),
+    (rational(-2), rational(3)),
+    (root_of_unity(3, 1), rational(1)),
+    (root_of_unity(4, 1), rational(1)),
+    (root_of_unity(12, 5), rational(2)),
+)
+
+
+@st.composite
+def forms_with_known_roots(draw):
+    picked = draw(st.lists(st.sampled_from(range(len(_LINE_POINTS))),
+                           min_size=1, max_size=4, unique=True))
+    roots = [(_LINE_POINTS[i], draw(st.integers(1, 3))) for i in picked]
+    if draw(st.booleans()):  # rational roots only
+        roots = [((r, s), m) for (r, s), m in roots if r.is_rational()]
+        if not roots:
+            roots = [(_LINE_POINTS[0], 2)]
+    j, k = draw(st.sampled_from(((0, 1), (1, 2), (0, 2))))
+    scale = draw(st.sampled_from((rational(1), rational(-3), root_of_unity(12, 7) + 1)))
+    return binary_form_from_roots(3, j, k, roots) * scale, j, k, len(roots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(forms_with_known_roots())
+def test_point_counts_of_forms_with_known_roots(case):
+    form, j, k, distinct = case
+    assert _distinct_binary_roots(form, j, k) == distinct
+    assert euclid_root_count(form, j, k) == distinct
+
+
+def test_fixed_locus_counts_known_roots_with_multiplicity():
+    # f = -X0 X1^3 (X0 - X1)^2 (X0 + 2 X1): X0/X1 is 0, infinity, 1 or -2
+    # at its roots; g acts trivially on it and on the Fermat part.
+    f = binary_form_from_roots(4, 0, 1, [
+        ((rational(0), rational(1)), 1), ((rational(1), rational(0)), 3),
+        ((rational(1), rational(1)), 2), ((rational(-2), rational(1)), 1),
+    ])
+    F = f + parse("X2^7 + X3^7", 4)
+    fx = fixed_locus(F, DiagAut(7, (1, 1, 0, 0)))
+    line = next(s for s in fx.slices if s.indices == (0, 1))
+    assert line.point_count == 4
+    assert fx.point_count == 4 + 7
+
+
+@st.composite
+def binary_forms(draw):
+    d = draw(st.integers(1, 7))
+    j, k = draw(st.sampled_from(((0, 1), (1, 0), (0, 2), (2, 1))))
+    level = draw(st.sampled_from((1, 3, 4, 5, 12)))
+    terms = {}
+    for e in draw(st.sets(st.integers(0, d), min_size=1, max_size=d + 1)):
+        mon = [0, 0, 0]
+        mon[j], mon[k] = e, d - e
+        c = root_of_unity(level, draw(st.integers(0, level - 1))) * draw(
+            st.sampled_from((1, -1, 2, Fraction(1, 3)))
+        ) + draw(st.integers(-2, 2))
+        terms[tuple(mon)] = c
+    return HomogPoly(3, d, terms), j, k
+
+
+@settings(max_examples=80, deadline=None)
+@given(binary_forms())
+def test_point_counts_against_the_euclid_oracle(case):
+    form, j, k = case
+    if form.is_zero():
+        return
+    assert _distinct_binary_roots(form, j, k) == euclid_root_count(form, j, k)
+
+
+@st.composite
+def forms_and_partitions(draw):
+    v = draw(st.integers(1, 6))
+    d = draw(st.integers(0, 7))
+    mons = monomials_of_degree(v, d)
+    picked = draw(st.sets(st.sampled_from(mons), min_size=1, max_size=8))
+    labels = draw(st.lists(st.integers(0, v - 1), min_size=v, max_size=v))
+    blocks = {}
+    for i, label in enumerate(labels):
+        blocks.setdefault(label, []).append(i)
+    return (
+        HomogPoly.from_support(sorted(picked), v),
+        tuple(EigenBlock(exp=label, indices=tuple(ix)) for label, ix in blocks.items()),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(forms_and_partitions())
+def test_eigen_pieces_are_the_restrictions(case):
+    F, blocks = case
+    for block, piece in zip(blocks, _eigen_pieces(F, blocks)):
+        complement = [i for i in range(F.num_vars) if i not in block.indices]
+        restriction = F.restrict(complement) if complement else F
+        assert HomogPoly(F.num_vars, F.degree, piece) == restriction
 
 
 # -- projections and the Galois criterion ------------------------------------------

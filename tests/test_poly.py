@@ -17,7 +17,7 @@ from hyperaut.poly import (
 )
 
 from conftest import fermat
-from oracles import apply_diagonal, compose, permute_variables
+from oracles import apply_diagonal, compose, permute_variables, probe_support_queries
 
 
 def test_parse_fermat_cubic():
@@ -122,6 +122,41 @@ def test_support_queries(klein_quartic):
 
     cone = parse("X0^3+X1^3+X2^3", 4)
     assert cone.support_queries().missing_near_power == (3,)
+
+
+@st.composite
+def supports_near_the_vertices(draw):
+    # Random supports weighted towards pure and near powers, the monomials
+    # the profile reads.
+    v = draw(st.integers(1, 6))
+    d = draw(st.integers(0, 7))
+    vertex_mons = [
+        tuple((d - 1 if x == i else 0) + (1 if x == j else 0) for x in range(v))
+        for i in range(v) for j in range(v)
+    ] if d else []
+    picked = draw(st.sets(st.sampled_from(monomials_of_degree(v, d)), min_size=1, max_size=5))
+    if vertex_mons:
+        picked |= draw(st.sets(st.sampled_from(vertex_mons), max_size=2 * v))
+    return HomogPoly.from_support(sorted(picked), v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(supports_near_the_vertices())
+def test_support_queries_match_monomial_probes(F):
+    assert F.support_queries() == probe_support_queries(F)
+
+
+def test_support_queries_in_low_degrees():
+    # Degree 2: X0*X1 is a near power of both variables.  Degree 1: the near
+    # powers of X_i are the other variables.
+    prof = parse("X0*X1 + X2^2", 3).support_queries()
+    assert prof.partners == (frozenset({1}), frozenset({0}), frozenset())
+    assert prof.on_hypersurface == (True, True, False)
+    prof = parse("X0 + X2", 3).support_queries()
+    assert prof.on_hypersurface == (False, True, False)
+    assert prof.partners == (frozenset({2}), frozenset({0, 2}), frozenset({0}))
+    assert prof.missing_near_power == ()
+    assert parse("3", 2).support_queries().on_hypersurface == (False, False)
 
 
 def test_restrict():
