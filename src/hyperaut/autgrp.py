@@ -101,24 +101,6 @@ class DiagAut:
             g = gcd(g, e - self.exps[0])
         return self.level // gcd(self.level, g)
 
-    def power(self, k: int) -> "DiagAut":
-        return DiagAut(self.level, tuple(e * k % self.level for e in self.exps))
-
-    def eigen_structure(self) -> "EigenStructure":
-        blocks: list[tuple[int, list[int]]] = []
-        seen: dict[int, int] = {}
-        for i, e in enumerate(self.exps):
-            if e in seen:
-                blocks[seen[e]][1].append(i)
-            else:
-                seen[e] = len(blocks)
-                blocks.append((e, [i]))
-        tuples = tuple(
-            EigenBlock(exp=e, indices=tuple(ix)) for e, ix in blocks
-        )
-        mults = tuple(sorted((len(b.indices) for b in tuples), reverse=True))
-        return EigenStructure(r=len(tuples), multiplicities=mults, blocks=tuples)
-
     def __str__(self):
         parts = []
         for e in self.exps:
@@ -129,19 +111,6 @@ class DiagAut:
             else:
                 parts.append(f"z{self.level}^{e}")
         return "diag(" + ", ".join(parts) + ")"
-
-
-@dataclass(frozen=True)
-class EigenBlock:
-    exp: int
-    indices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class EigenStructure:
-    r: int
-    multiplicities: tuple[int, ...]
-    blocks: tuple[EigenBlock, ...]
 
 
 def parse_diag(text: str) -> DiagAut:

@@ -385,7 +385,9 @@ class ComponentInstance:
     claims: tuple[DivisorClaim, ...]
 
 
-def _type_from_blocks(sizes: tuple[int, ...]) -> str:
+def _type_without(slices, unit) -> str:
+    """The normal-form type of the eigenspace blocks other than unit."""
+    sizes = [len(s.indices) for s in slices if s is not unit]
     total = sum(sizes)
     if total == 1:
         return TYPE_I
@@ -400,7 +402,7 @@ def _type_from_blocks(sizes: tuple[int, ...]) -> str:
     return OUT_OF_SCOPE
 
 
-def component_candidates(g: DiagAut, fix: FixedLocusReport):
+def component_candidates(fix: FixedLocusReport):
     """Slices that can carry a fixed component of codimension at most two."""
     n = fix.n
     out = []
@@ -421,20 +423,17 @@ def normal_form_type(g: DiagAut, fix: FixedLocusReport) -> tuple[str, tuple[int,
     plane curves (n = 1) three distinct eigenvalues are typed VI with an
     empty unit block, matching the degenerate normal form there.
     """
-    structure = g.eigen_structure()
+    r = len(fix.slices)
     if g.is_identity():
         return OUT_OF_SCOPE, None, "identity automorphism"
-    if structure.r > 4:
-        return OUT_OF_SCOPE, None, f"{structure.r} distinct eigenvalues force codim > 2"
+    if r > 4:
+        return OUT_OF_SCOPE, None, f"{r} distinct eigenvalues force codim > 2"
     if fix.n == 1:
-        if structure.r == 3:
+        if r == 3:
             return TYPE_VI, (), None
-        big = max(structure.blocks, key=lambda b: (len(b.indices), -b.exp))
-        sizes = tuple(
-            len(b.indices) for b in structure.blocks if b is not big
-        )
-        return _type_from_blocks(tuple(sorted(sizes, reverse=True))), tuple(big.indices), None
-    candidates = component_candidates(g, fix)
+        big = max(fix.slices, key=lambda s: (len(s.indices), -s.eigen_exp))
+        return _type_without(fix.slices, big), big.indices, None
+    candidates = component_candidates(fix)
     if not candidates:
         if fix.codim_in_x is None:
             return OUT_OF_SCOPE, None, "empty fixed locus"
@@ -442,40 +441,26 @@ def normal_form_type(g: DiagAut, fix: FixedLocusReport) -> tuple[str, tuple[int,
     best = max(candidates, key=lambda s: (s.dim, len(s.indices), -s.eigen_exp))
     if best.dim >= fix.n:
         return OUT_OF_SCOPE, None, "the whole hypersurface is fixed"
-    unit = set(best.indices)
-    others = [b for b in structure.blocks if set(b.indices) != unit]
-    sizes = tuple(sorted((len(b.indices) for b in others), reverse=True))
-    ntype = _type_from_blocks(sizes)
+    ntype = _type_without(fix.slices, best)
     if ntype == OUT_OF_SCOPE:
         return OUT_OF_SCOPE, None, "more than three non-unit coordinates"
-    return ntype, tuple(sorted(unit)), None
-
-
-def build_incidence(
-    F: HomogPoly, g: DiagAut, unit_indices: tuple[int, ...]
-) -> tuple[NormalizedIncidence, tuple[int, ...]]:
-    """Normalized vertex data of F for the given component block of g.
-
-    Returns the incidence and the coordinate layout (original indices in
-    normal-form order: non-unit blocks first, larger blocks first, ties by
-    rescaled exponent; unit coordinates last).
-    """
-    return _incidence(F, g, g.eigen_structure(), F.support_queries(), unit_indices)
+    return ntype, best.indices, None
 
 
 def _incidence(
-    F: HomogPoly, g: DiagAut, structure, profile, unit_indices: tuple[int, ...]
+    F: HomogPoly, g: DiagAut, slices, profile, unit
 ) -> tuple[NormalizedIncidence, tuple[int, ...]]:
-    # build_incidence with g's eigen structure and F's incidence profile
-    # passed in, so that a caller with several components computes them once.
-    unit = set(unit_indices)
-    if unit:
-        unit_exp = g.exps[next(iter(unit))]
-    else:
-        unit_exp = 0
-    others = [b for b in structure.blocks if not set(b.indices) <= unit]
-    others.sort(key=lambda b: (-len(b.indices), (b.exp - unit_exp) % g.level))
-    layout = [i for b in others for i in b.indices] + sorted(unit)
+    """Normalized vertex data of F for the component on the slice unit.
+
+    slices are the fixed-locus slices of g and profile is F's incidence
+    profile, passed in so that a caller with several components computes
+    them once.  Returns the incidence and the coordinate layout (original
+    indices in normal-form order: non-unit blocks first, larger blocks
+    first, ties by rescaled exponent; unit coordinates last).
+    """
+    others = [s for s in slices if s is not unit]
+    others.sort(key=lambda s: (-len(s.indices), (s.eigen_exp - unit.eigen_exp) % g.level))
+    layout = [i for s in others for i in s.indices] + list(unit.indices)
     m = sum(len(b.indices) for b in others)
     pos_of = {orig: pos for pos, orig in enumerate(layout)}
     on = []
@@ -503,9 +488,7 @@ def _incidence(
         unit_partner.append(up)
     # The block piece (F with the unit coordinates set to zero) vanishes when
     # every monomial involves a unit coordinate.
-    block_piece_zero = bool(unit) and all(
-        any(mon[i] for i in unit) for mon in F.terms
-    )
+    block_piece_zero = all(any(mon[i] for i in unit.indices) for mon in F.terms)
     incidence = NormalizedIncidence(
         block_size=m,
         on_vertices=tuple(on),
@@ -522,26 +505,22 @@ def classify_instances(
     """One ComponentInstance per codim <= 2 fixed component of g."""
     if g.is_identity():
         return ()
-    structure = g.eigen_structure()
     profile = None
     out = []
-    for s in component_candidates(g, fix):
+    for s in component_candidates(fix):
         if s.dim >= n:
             continue
-        unit = tuple(sorted(s.indices))
-        others = [b for b in structure.blocks if set(b.indices) != set(unit)]
-        sizes = tuple(sorted((len(b.indices) for b in others), reverse=True))
-        ntype = _type_from_blocks(sizes)
+        ntype = _type_without(fix.slices, s)
         if ntype == OUT_OF_SCOPE:
             continue
         if profile is None:
             profile = F.support_queries()
-        incidence, layout = _incidence(F, g, structure, profile, unit)
+        incidence, layout = _incidence(F, g, fix.slices, profile, s)
         claims = branch_claims(ntype, n, d, incidence)
         out.append(
             ComponentInstance(
                 normal_type=ntype,
-                unit_indices=unit,
+                unit_indices=s.indices,
                 block_indices=tuple(layout[: incidence.block_size]),
                 slice_dim=s.dim,
                 codim=n - s.dim,
@@ -666,14 +645,9 @@ def classify_case(
     order = g.order_in_pgl()
     instances = classify_instances(F, g, fix, n, d)
     ntype, unit, reason = normal_form_type(g, fix)
-    component = None
-    if unit is not None:
-        for inst in instances:
-            if inst.unit_indices == unit:
-                component = inst
-                break
+    component = next((inst for inst in instances if inst.unit_indices == unit), None)
     claims = component.claims if component else ()
-    galois = galois_by_theorem(F, g)
+    galois = galois_by_theorem(F, g, fix)
     rationality = rationality_verdict(n, d, order, fix, ntype, galois)
     return ClassifiedCase(
         n=n,

@@ -15,7 +15,6 @@ from . import __version__
 from .autgrp import (
     CapExceededError,
     InfiniteGroupError,
-    character,
     parse_diag,
     symmetry_group,
 )
@@ -117,7 +116,7 @@ def cmd_analyze(args) -> int:
             conditional = True
 
     try:
-        character(F, g)
+        fix = fixed_locus(F, g)
     except NotSemiInvariantError as exc:
         a, b = exc.witness
         print(
@@ -127,14 +126,12 @@ def cmd_analyze(args) -> int:
         )
         return EXIT_INPUT
 
-    fix = fixed_locus(F, g)
     try:
         case = classify_case(F, g, fix)
     except VertexSmoothnessError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
 
-    structure = g.eigen_structure()
     rationality = case.rationality.status
     primary = case.rationality.primary
     if conditional and rationality != "unknown":
@@ -145,11 +142,11 @@ def cmd_analyze(args) -> int:
         "smoothness": cert_dict,
         "automorphism": {
             "order": case.order,
-            "r": structure.r,
+            "r": len(fix.slices),
             "multiplier": str(case.multiplier_t),
             "eigen_blocks": [
-                {"exp": b.exp, "indices": list(b.indices)}
-                for b in structure.blocks
+                {"exp": s.eigen_exp, "indices": list(s.indices)}
+                for s in fix.slices
             ],
             "level": g.level,
         },

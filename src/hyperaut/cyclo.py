@@ -158,11 +158,6 @@ class CycloNum:
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not a rational number")
-        return self.coeffs[0]
-
     # -- level handling ----------------------------------------------------
 
     def embed(self, m: int) -> "CycloNum":

@@ -1,4 +1,4 @@
-"""Geometric certificates: exact smoothness, fixed loci, projection degrees.
+"""Geometric certificates: exact smoothness and fixed loci.
 
 Smoothness is settled by the cheapest certificate that is sound for the
 verdict it gives.  The steps run in this order, and `method` records the
@@ -42,7 +42,10 @@ slices; F is split into the matching pieces in one pass over its terms.  A
 slice on a line is finite unless its piece vanishes, and its points are
 counted by the binary gcd of the line screen: the distinct roots of the
 piece f number deg f minus the degree of the gcd of its two partials, with
-Fraction arithmetic when f is rational.
+Fraction arithmetic when f is rational.  The resulting FixedLocusReport is
+the one record of g's eigenspaces: normal-form typing, the branch incidence
+and the Galois criterion below all read blocks, exponents and containment
+from its slices.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from math import comb, isqrt, lcm
 
 from .autgrp import CapExceededError, DiagAut, character
 from .cyclo import ZERO, CycloNum, _frac_poly_divmod
-from .poly import HomogPoly, Monomial, NotSemiInvariantError, monomials_of_degree
+from .poly import HomogPoly, Monomial, monomials_of_degree
 
 DEFAULT_ENTRY_CAP = 200_000
 _MODULAR_FLOOR = 2 ** 29
@@ -383,9 +386,11 @@ class FixedLocusReport:
 def fixed_locus(F: HomogPoly, g: DiagAut) -> FixedLocusReport:
     """Per-eigenspace decomposition of the fixed point set on X.
 
-    Requires g to act on F by a single scalar; raises NotSemiInvariantError
-    otherwise.  F is split into its eigenspace pieces in one pass over its
-    terms.  Isolated fixed points on one-dimensional slices are counted
+    This report is the record of g's eigenspaces that classification and the
+    Galois test read: one slice per distinct exponent of g, ordered by its
+    first coordinate.  Requires g to act on F by a single scalar; raises
+    NotSemiInvariantError otherwise.  F is split into its eigenspace pieces
+    in one pass over its terms.  Isolated fixed points on one-dimensional slices are counted
     without multiplicity: the count is the degree of the piece, a binary
     form f, minus the degree of the gcd of its two partials (the repeated
     part of f, by Euler's relation), taken by the same exact binary gcd as
@@ -397,11 +402,13 @@ def fixed_locus(F: HomogPoly, g: DiagAut) -> FixedLocusReport:
     """
     character(F, g)
     n = F.num_vars - 2
-    blocks = g.eigen_structure().blocks
+    blocks: dict[int, list[int]] = {}
+    for i, e in enumerate(g.exps):
+        blocks.setdefault(e, []).append(i)
     slices = []
-    for block, piece in zip(blocks, _eigen_pieces(F, blocks)):
+    for (exp, indices), piece in zip(blocks.items(), _eigen_pieces(F, blocks.values())):
         zero = not piece
-        ambient = len(block.indices) - 1
+        ambient = len(indices) - 1
         if zero:
             dim = ambient
             count = 1 if ambient == 0 else None
@@ -413,11 +420,11 @@ def fixed_locus(F: HomogPoly, g: DiagAut) -> FixedLocusReport:
             count = None
             if ambient == 1:
                 f = HomogPoly(F.num_vars, F.degree, piece)
-                count = _distinct_binary_roots(f, *block.indices)
+                count = _distinct_binary_roots(f, *indices)
         slices.append(
             SliceInfo(
-                indices=tuple(block.indices),
-                eigen_exp=block.exp,
+                indices=tuple(indices),
+                eigen_exp=exp,
                 ambient_dim=ambient,
                 restriction_zero=zero,
                 dim=dim,
@@ -446,15 +453,16 @@ def fixed_locus(F: HomogPoly, g: DiagAut) -> FixedLocusReport:
 
 
 def _eigen_pieces(F: HomogPoly, blocks) -> list[dict[Monomial, CycloNum]]:
-    """The terms of F restricted to each block's coordinates, in one pass.
+    """The terms of F restricted to each block of coordinates, in one pass.
 
-    A monomial belongs to the block that holds its whole support, if any.
+    blocks lists disjoint index lists.  A monomial belongs to the block that
+    holds its whole support, if any.
     """
     if F.degree == 0:  # a constant restricts to itself on every block
         return [dict(F.terms) for _ in blocks]
     owner = [0] * F.num_vars
-    for b, block in enumerate(blocks):
-        for i in block.indices:
+    for b, indices in enumerate(blocks):
+        for i in indices:
             owner[i] = b
     pieces: list[dict[Monomial, CycloNum]] = [{} for _ in blocks]
     for mon, c in F.terms.items():
@@ -479,25 +487,7 @@ def _distinct_binary_roots(f: HomogPoly, j: int, k: int) -> int:
     return f.degree - (repeated or 0)
 
 
-# -- projections and the Galois criterion --------------------------------------
-
-
-def projection_degree(F: HomogPoly, r_plane, complement) -> int:
-    """Degree of the projection of X from the pair of coordinate subspaces.
-
-    r_plane and complement are index sets spanning the two subspaces; they
-    must partition the coordinates.  Each contained subspace (restriction of
-    F identically zero on it) lowers the generic fiber count by one.
-    """
-    r_plane = sorted(set(r_plane))
-    complement = sorted(set(complement))
-    if sorted(r_plane + complement) != list(range(F.num_vars)):
-        raise ValueError("index sets must partition the coordinates")
-    if not r_plane or not complement:
-        raise ValueError("both subspaces must be nonempty")
-    first_in = F.restrict(complement).is_zero()
-    second_in = F.restrict(r_plane).is_zero()
-    return F.degree - int(first_in) - int(second_in)
+# -- the Galois criterion --------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -515,35 +505,29 @@ class GaloisVerdict:
         return cls(galois=False, reason=reason)
 
 
-def galois_by_theorem(F: HomogPoly, g: DiagAut) -> GaloisVerdict:
+def galois_by_theorem(F: HomogPoly, g: DiagAut, fix: FixedLocusReport) -> GaloisVerdict:
     """Projection-is-Galois criterion for two-eigenvalue diagonal actions.
 
-    Fires when g can be scaled to e_m on one coordinate block and 1 on the
-    other with m equal to the degree of the induced projection; the quotient
-    X / <g> is then rational (key thm-2.3).
+    fix is fixed_locus(F, g).  Fires when g can be scaled to e_m on one
+    coordinate block and 1 on the other with m equal to the degree of the
+    induced projection; the quotient X / <g> is then rational (key thm-2.3).
+    The projection from the two eigenspaces has degree deg F minus one for
+    each eigenspace contained in X, which is the same for either split, so
+    the block listed first is the scaled one.
     """
-    try:
-        character(F, g)
-    except NotSemiInvariantError:
-        return GaloisVerdict.no("not an automorphism of the hypersurface")
-    structure = g.eigen_structure()
-    if structure.r != 2:
-        return GaloisVerdict.no(f"needs exactly 2 eigenvalues, found {structure.r}")
+    if len(fix.slices) != 2:
+        return GaloisVerdict.no(f"needs exactly 2 eigenvalues, found {len(fix.slices)}")
     m = g.order_in_pgl()
-    if m < 2:
-        return GaloisVerdict.no("the identity gives no projection")
-    blocks = sorted(structure.blocks, key=lambda b: b.indices[0])
-    for scaled, unit in ((blocks[0], blocks[1]), (blocks[1], blocks[0])):
-        deg = projection_degree(F, scaled.indices, unit.indices)
-        if deg == m:
-            return GaloisVerdict(
-                galois=True,
-                m=m,
-                scaled_block=tuple(scaled.indices),
-                unit_block=tuple(unit.indices),
-                galois_point=(len(scaled.indices) == 1),
-                theorem="thm-2.3",
-            )
-    return GaloisVerdict.no(
-        f"order {m} does not match the projection degree for either split"
+    if F.degree - sum(s.restriction_zero for s in fix.slices) != m:
+        return GaloisVerdict.no(
+            f"order {m} does not match the projection degree for either split"
+        )
+    scaled, unit = fix.slices
+    return GaloisVerdict(
+        galois=True,
+        m=m,
+        scaled_block=scaled.indices,
+        unit_block=unit.indices,
+        galois_point=(len(scaled.indices) == 1),
+        theorem="thm-2.3",
     )

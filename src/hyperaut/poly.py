@@ -15,6 +15,10 @@ only allowed when the divisor is a scalar.  Whitespace is insignificant.
 An expression lives in Q(zeta_L), L the lcm of its zN levels, and the
 arithmetic on it builds tables of size about L * phi(L).  A text with L above
 MAX_ROOT_LEVEL is refused with CapExceededError before any table is built.
+The parser refuses the same way, before expanding it, any product or power
+of degree above MAX_DEGREE, any product of more than MAX_TERMS term pairs,
+any sum of more than MAX_TERMS terms, any scalar power with an exponent
+above MAX_ROOT_LEVEL, and more than MAX_VARS variables.
 """
 
 from __future__ import annotations
@@ -33,6 +37,12 @@ Monomial = tuple[int, ...]
 # 4:5 (1,280 at 4:5).  An analyze call at the largest prime below the cap,
 # 2039, peaks at about 81 MB.
 MAX_ROOT_LEVEL = 2048
+# The degree-200 Fermat surface is the largest input the tests use.  The
+# symmetry group of a support builds a square matrix with one row per term:
+# `symmetries` takes 0.3-1.3 s on 1,024 terms, 6-21 s and 170 MB on 4,096.
+MAX_DEGREE = 256
+MAX_TERMS = 1024
+MAX_VARS = 32
 
 
 class ParseError(ValueError):
@@ -134,9 +144,6 @@ class HomogPoly:
     def support(self) -> tuple[Monomial, ...]:
         return tuple(sorted(self.terms, reverse=True))
 
-    def coeff(self, mon: Monomial) -> CycloNum:
-        return self.terms.get(tuple(mon), rational(0))
-
     def __eq__(self, other):
         if not isinstance(other, HomogPoly):
             return NotImplemented
@@ -161,15 +168,7 @@ class HomogPoly:
             raise NotHomogeneousError(
                 next(iter(self.terms)), next(iter(other.terms))
             )
-        terms = dict(self.terms)
-        for mon, c in other.terms.items():
-            s = terms.get(mon)
-            s = c if s is None else s + c
-            if s:
-                terms[mon] = s
-            else:
-                terms.pop(mon, None)
-        return HomogPoly(self.num_vars, self.degree, terms)
+        return HomogPoly(self.num_vars, self.degree, _dict_add(dict(self.terms), other.terms))
 
     def __sub__(self, other: "HomogPoly") -> "HomogPoly":
         return self + other.scale(-1)
@@ -190,18 +189,9 @@ class HomogPoly:
             return NotImplemented
         if self.num_vars != other.num_vars:
             raise ValueError("mixed variable counts")
-        terms: dict[Monomial, CycloNum] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mon = tuple(a + b for a, b in zip(m1, m2))
-                c = c1 * c2
-                s = terms.get(mon)
-                s = c if s is None else s + c
-                if s:
-                    terms[mon] = s
-                else:
-                    terms.pop(mon, None)
-        return HomogPoly(self.num_vars, self.degree + other.degree, terms)
+        return HomogPoly(
+            self.num_vars, self.degree + other.degree, _dict_mul(self.terms, other.terms)
+        )
 
     __rmul__ = __mul__
 
@@ -238,20 +228,6 @@ class HomogPoly:
         partners = tuple(frozenset(p) for p in near)
         flags = tuple(i for i in range(v) if on_x[i] and not partners[i])
         return IncidenceProfile(tuple(on_x), partners, flags)
-
-    def restrict(self, zero_set) -> "HomogPoly":
-        """Set the listed variables to zero; may give the zero polynomial."""
-        zero_set = set(zero_set)
-        if not zero_set <= set(range(self.num_vars)):
-            raise ValueError("zero_set contains an unknown variable index")
-        if len(zero_set) == self.num_vars:
-            raise ValueError("cannot zero out every variable")
-        terms = {
-            mon: c
-            for mon, c in self.terms.items()
-            if all(mon[i] == 0 for i in zero_set)
-        }
-        return HomogPoly(self.num_vars, self.degree, terms)
 
     def partial(self, i: int) -> "HomogPoly":
         """Exact formal partial derivative with respect to X_i."""
@@ -381,9 +357,12 @@ class _Parser:
     def _expr(self):
         value = self._term()
         while self.peek() in ("+", "-"):
-            op = self.next()
-            rhs = self._term()
-            value = _dict_add(value, rhs, -1 if op == "-" else 1)
+            sign = -1 if self.next() == "-" else 1
+            _dict_add(value, self._term(), sign)
+            if len(value) > MAX_TERMS:
+                raise CapExceededError(
+                    f"a sum of more than {MAX_TERMS} terms exceeds the term cap"
+                )
         return value
 
     def _term(self):
@@ -392,7 +371,8 @@ class _Parser:
             op = self.next()
             rhs = self._factor()
             if op == "*":
-                value = _dict_mul(value, rhs, self.num_vars)
+                _check_product(value, rhs)
+                value = _dict_mul(value, rhs)
             else:
                 scalar = _as_scalar(rhs)
                 if scalar is None or not scalar:
@@ -449,8 +429,8 @@ class _Parser:
         return (0,) * self.num_vars
 
 
-def _dict_add(a, b, sign):
-    out = dict(a)
+def _dict_add(out, b, sign=1):
+    """Add sign * b into the term dict out, in place; returns out."""
     for mon, c in b.items():
         s = out.get(mon)
         s = sign * c if s is None else s + sign * c
@@ -461,7 +441,7 @@ def _dict_add(a, b, sign):
     return out
 
 
-def _dict_mul(a, b, num_vars):
+def _dict_mul(a, b):
     out: dict[Monomial, CycloNum] = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
@@ -476,16 +456,41 @@ def _dict_mul(a, b, num_vars):
     return out
 
 
+def _degree(a) -> int:
+    return max(map(sum, a), default=0)
+
+
+def _check_product(a, b) -> None:
+    """Refuse the product of two term dicts before it is expanded."""
+    degree = _degree(a) + _degree(b)
+    if degree > MAX_DEGREE:
+        raise CapExceededError(f"degree {degree} exceeds the cap of {MAX_DEGREE}")
+    if len(a) * len(b) > MAX_TERMS:
+        raise CapExceededError(
+            f"a product of {len(a)} by {len(b)} terms exceeds the cap of {MAX_TERMS}"
+        )
+
+
 def _dict_pow(a, k, num_vars):
-    if k < 0:
-        scalar = _as_scalar(a)
-        if scalar is None or not scalar:
+    scalar = _as_scalar(a)
+    if scalar is None:
+        if k < 0:
             raise ParseError("negative powers are only allowed for nonzero scalars")
-        return {(0,) * num_vars if num_vars else (): scalar ** k}
-    out = {(0,) * num_vars if num_vars else (): rational(1)}
-    for _ in range(k):
-        out = _dict_mul(out, a, num_vars)
-    return out
+        degree = _degree(a) * k
+        if degree > MAX_DEGREE:
+            raise CapExceededError(f"degree {degree} exceeds the cap of {MAX_DEGREE}")
+        out = {(0,) * num_vars: rational(1)}
+        for _ in range(k):
+            _check_product(out, a)
+            out = _dict_mul(out, a)
+        return out
+    # zN^k with k < N is the largest scalar power a diag(...) text needs.
+    if abs(k) > MAX_ROOT_LEVEL:
+        raise CapExceededError(f"exponent {k} exceeds the cap of {MAX_ROOT_LEVEL}")
+    if k < 0 and not scalar:
+        raise ParseError("negative powers are only allowed for nonzero scalars")
+    power = scalar ** k if k else rational(1)
+    return {(0,) * num_vars: power} if power else {}
 
 
 def _as_scalar(value) -> CycloNum | None:
@@ -501,6 +506,8 @@ def parse(text: str, num_vars: int) -> HomogPoly:
     """Parse a homogeneous polynomial in num_vars variables X0..X(num_vars-1)."""
     if num_vars < 1:
         raise ValueError("need at least one variable")
+    if num_vars > MAX_VARS:
+        raise CapExceededError(f"{num_vars} variables exceed the cap of {MAX_VARS}")
     value = _Parser(text, num_vars).parse()
     if not value:
         raise ParseError("the zero polynomial has no defined degree")

@@ -14,7 +14,7 @@ from hyperaut.autgrp import (
     symmetry_group,
 )
 from hyperaut.cyclo import _frac_poly_divmod, rational
-from hyperaut.geometry import fixed_locus
+from hyperaut.geometry import GaloisVerdict, fixed_locus
 from hyperaut.poly import HomogPoly, IncidenceProfile
 
 
@@ -28,6 +28,66 @@ def apply_diagonal(F: HomogPoly, lambdas) -> HomogPoly:
             coeff = coeff * lam ** e
         terms[mon] = coeff
     return HomogPoly(F.num_vars, F.degree, terms)
+
+
+def restrict(F: HomogPoly, zero_set) -> HomogPoly:
+    """Set the listed variables to zero; may give the zero polynomial."""
+    zero_set = set(zero_set)
+    if not zero_set <= set(range(F.num_vars)):
+        raise ValueError("zero_set contains an unknown variable index")
+    if len(zero_set) == F.num_vars:
+        raise ValueError("cannot zero out every variable")
+    terms = {
+        mon: c
+        for mon, c in F.terms.items()
+        if all(mon[i] == 0 for i in zero_set)
+    }
+    return HomogPoly(F.num_vars, F.degree, terms)
+
+
+def projection_degree(F: HomogPoly, r_plane, complement) -> int:
+    """Degree of the projection of X from the pair of coordinate subspaces.
+
+    r_plane and complement are index sets spanning the two subspaces; they
+    must partition the coordinates.  Each contained subspace (restriction of
+    F identically zero on it) lowers the generic fiber count by one.
+    """
+    r_plane = sorted(set(r_plane))
+    complement = sorted(set(complement))
+    if sorted(r_plane + complement) != list(range(F.num_vars)):
+        raise ValueError("index sets must partition the coordinates")
+    if not r_plane or not complement:
+        raise ValueError("both subspaces must be nonempty")
+    first_in = restrict(F, complement).is_zero()
+    second_in = restrict(F, r_plane).is_zero()
+    return F.degree - int(first_in) - int(second_in)
+
+
+def two_split_galois(F: HomogPoly, g: DiagAut) -> GaloisVerdict:
+    """The Galois criterion for two eigenvalues by trying both splits.
+
+    g must be an automorphism of F with exactly two eigenvalues.  The blocks
+    are grouped from g's exponents and ordered by first coordinate; each
+    split in turn is tried as (scaled, unit), and the first whose projection
+    degree equals the order of g fires.
+    """
+    blocks: dict[int, list[int]] = {}
+    for i, e in enumerate(g.exps):
+        blocks.setdefault(e, []).append(i)
+    if len(blocks) != 2:
+        raise ValueError("the oracle needs exactly two eigenvalues")
+    first, second = sorted(blocks.values())
+    m = g.order_in_pgl()
+    for scaled, unit in ((first, second), (second, first)):
+        if projection_degree(F, scaled, unit) == m:
+            return GaloisVerdict(
+                galois=True, m=m, scaled_block=tuple(scaled),
+                unit_block=tuple(unit), galois_point=(len(scaled) == 1),
+                theorem="thm-2.3",
+            )
+    return GaloisVerdict.no(
+        f"order {m} does not match the projection degree for either split"
+    )
 
 
 def permute_variables(F: HomogPoly, perm) -> HomogPoly:

@@ -16,7 +16,8 @@ from hyperaut.autgrp import (
     symmetry_group,
 )
 from hyperaut.cyclo import root_of_unity
-from hyperaut.harness import delta_supports
+from hyperaut.geometry import fixed_locus
+from hyperaut.harness import delta_supports, example_witness
 from hyperaut.poly import NotSemiInvariantError, parse
 
 from conftest import fermat
@@ -44,18 +45,20 @@ def test_order_invariance_under_scalar_shift_and_permutation():
 
 
 def test_eigen_structure():
-    g = DiagAut(12, (4, 4, 1, 0, 0))
-    s = g.eigen_structure()
-    assert s.r == 3
-    assert s.multiplicities == (2, 2, 1)
-    assert [b.indices for b in s.blocks] == [(0, 1), (2,), (3, 4)]
+    # The fixed-locus report holds g's eigenspaces: one slice per distinct
+    # exponent, ordered by first coordinate.
+    F, g = example_witness(4)
+    assert [(s.indices, s.eigen_exp) for s in fixed_locus(F, g).slices] == [
+        ((0, 1), 4), ((2,), 1), ((3, 4), 0)
+    ]
 
     ident = DiagAut(1, (0,) * 6)
-    assert ident.eigen_structure().r == 1
-    assert ident.eigen_structure().multiplicities == (6,)
+    assert [s.indices for s in fixed_locus(fermat(6, 3), ident).slices] == [tuple(range(6))]
 
     g = DiagAut(11, (1, 2, 3, 4, 5))
-    assert g.eigen_structure().r == 5
+    assert [(s.indices, s.eigen_exp) for s in fixed_locus(fermat(5, 11), g).slices] == [
+        ((0,), 1), ((1,), 2), ((2,), 3), ((3,), 4), ((4,), 5)
+    ]
 
 
 def test_parse_and_format():
@@ -162,7 +165,9 @@ def test_chain_symmetry_group():
     gen = group.generators[0]
     assert gen.order_in_pgl() == 9
     target = DiagAut(9, (1, 6, 0))
-    assert any(gen.power(k) == target for k in range(1, 10))
+    assert any(
+        DiagAut(gen.level, tuple(k * e for e in gen.exps)) == target for k in range(1, 10)
+    )
 
 
 def test_symmetry_group_every_element_semi_invariant(klein_quartic):

@@ -14,7 +14,6 @@ from hyperaut.classify import (
     VertexSmoothnessError,
     badr_bars_divisors,
     branch_claims,
-    build_incidence,
     claims_satisfied,
     classify_case,
     classify_instances,
@@ -30,6 +29,7 @@ from hyperaut.harness import delta_supports, example_witness
 from hyperaut.poly import parse
 
 from conftest import fermat
+from oracles import restrict
 
 
 # -- normal-form typing ---------------------------------------------------------
@@ -143,8 +143,11 @@ def test_divisor_claims_type_level():
 def test_branch_claims_spec_values():
     # Type V, n = 3, every vertex off the hypersurface: order divides d(d-1).
     F, g = example_witness(5)
-    inc, _ = build_incidence(F, g, (3, 4))
-    assert [ (c.value, c.requires_n) for c in branch_claims(TYPE_V, 3, 5, inc) ] \
+    (inst,) = [
+        i for i in classify_instances(F, g, fixed_locus(F, g), 3, 5) if i.unit_indices == (3, 4)
+    ]
+    assert inst.normal_type == TYPE_V and inst.block_indices == (0, 1, 2)
+    assert [(c.value, c.requires_n) for c in branch_claims(TYPE_V, 3, 5, inst.incidence)] \
         == [(20, None)]
 
 
@@ -179,9 +182,8 @@ def test_classify_instances_cover_multiple_components():
 
 def test_memoised_branch_claims_match_a_fresh_computation():
     # On the 2:5 and 3:4 delta groups every instance's claims equal the
-    # uncached branch computation, its incidence the public build_incidence,
-    # and its block piece the restriction of F; the sweep meets the same
-    # branches over and over.
+    # uncached branch computation and its block piece the restriction of F;
+    # the sweep meets the same branches over and over.
     branch_claims.cache_clear()
     instances = 0
     for n, d in ((2, 5), (3, 4)):
@@ -196,8 +198,7 @@ def test_memoised_branch_claims_match_a_fresh_computation():
                     assert inst.claims == branch_claims.__wrapped__(
                         inst.normal_type, n, d, inst.incidence
                     )
-                    assert build_incidence(F, g, inst.unit_indices)[0] == inst.incidence
-                    assert inst.incidence.block_piece_zero == F.restrict(inst.unit_indices).is_zero()
+                    assert inst.incidence.block_piece_zero == restrict(F, inst.unit_indices).is_zero()
                     instances += 1
     info = branch_claims.cache_info()
     assert info.hits + info.misses == instances

@@ -1,11 +1,24 @@
 import json
+import random
+import time
+from datetime import timedelta
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperaut.autgrp import parse_diag
 from hyperaut.cli import main
 from hyperaut.cyclo import _reduced_powers, root_of_unity
-from hyperaut.poly import MAX_ROOT_LEVEL, parse
+from hyperaut.poly import (
+    MAX_DEGREE,
+    MAX_ROOT_LEVEL,
+    MAX_TERMS,
+    MAX_VARS,
+    monomials_of_degree,
+    parse,
+)
 
 
 def run(capsys, *argv):
@@ -79,6 +92,67 @@ def test_symmetries_refuses_root_levels_above_the_cap(capsys):
     code, _, err = run(capsys, "symmetries", "X0^3+z123456*X1^3+X2^3")
     assert code == 4
     assert f"exceeds the cap of {MAX_ROOT_LEVEL}" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["symmetries", "X99999999"], f"100000000 variables exceed the cap of {MAX_VARS}"),
+    (["symmetries", "X0^3", "--vars", str(MAX_VARS + 1)],
+     f"{MAX_VARS + 1} variables exceed the cap of {MAX_VARS}"),
+    (["analyze", "--poly", "X0^1000000+X1^1000000", "--aut", "diag(z5,1,1,1)"],
+     f"degree 1000000 exceeds the cap of {MAX_DEGREE}"),
+    (["analyze", "--poly", "(X0+X1+X2+X3)^40", "--aut", "diag(1,1,1,1)"],
+     f"a product of 286 by 4 terms exceeds the cap of {MAX_TERMS}"),
+])
+def test_size_caps_exit_with_code_4_at_once(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (4, "", f"error: {message}\n")
+
+
+def _monomial_text(mon, coeff=1):
+    return "*".join([str(coeff)] + [f"X{i}^{e}" for i, e in enumerate(mon) if e])
+
+
+@st.composite
+def inputs_under_the_caps(draw):
+    """An (F, g) text pair that meets one of the parser caps from below.
+
+    fermat: degree MAX_DEGREE or just under it; power: a power of a linear
+    form whose last product has as many term pairs as the cap allows; sum:
+    close to MAX_TERMS cubic monomials.  Up to MAX_VARS variables.
+    """
+    kind = draw(st.sampled_from(["fermat", "power", "sum"]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    coeff = lambda: rng.choice((1, -1, 2, 3, "1/2", "z3", "(1+z4)"))
+    if kind == "sum":
+        v = draw(st.integers(18, MAX_VARS))
+        mons = rng.sample(monomials_of_degree(v, 3), MAX_TERMS - draw(st.integers(0, 8)))
+        poly = " + ".join(_monomial_text(m, coeff()) for m in mons)
+        return poly, "diag(" + ", ".join(["1"] * v) + ")"
+    k = 0 if kind == "fermat" else draw(st.integers(2, 4))
+    v = draw(st.integers(max(4, k + 1), MAX_VARS))
+    if kind == "fermat":
+        d = MAX_DEGREE - draw(st.integers(0, 8))
+        head = ""
+    else:
+        # (X0 + ... + X(k-1))^j has comb(j+k-1, k-1) terms; the step to the
+        # d-th power multiplies comb(d+k-2, k-1) of them by k.
+        d = max(j for j in range(1, MAX_DEGREE + 1) if comb(j + k - 2, k - 1) * k <= MAX_TERMS)
+        head = "(" + " + ".join(f"{coeff()}*X{i}" for i in range(k)) + f")^{d} + "
+    poly = head + " + ".join(f"{coeff()}*X{i}^{d}" for i in range(k, v))
+    exps = [0] * k + [rng.randrange(d) for _ in range(k, v)]
+    return poly, "diag(" + ", ".join(f"z{d}^{e}" for e in exps) + ")"
+
+
+@settings(max_examples=10, deadline=timedelta(seconds=10))
+@given(inputs_under_the_caps(), st.booleans())
+def test_inputs_under_the_caps_are_admitted_and_answered(pair, skip_smoothness):
+    poly, aut = pair
+    g = parse_diag(aut)
+    assert parse(poly, g.num_vars).num_vars == g.num_vars
+    flags = ["--skip-smoothness"] if skip_smoothness else []
+    assert main(["analyze", "--json", *flags, "--poly", poly, "--aut", aut]) in (0, 3)
 
 
 def test_parsers_admit_the_largest_delta_group_level():

@@ -9,7 +9,6 @@ from hyperaut import geometry
 from hyperaut.autgrp import (
     CapExceededError,
     DiagAut,
-    EigenBlock,
     enumerate_elements,
     symmetry_group,
 )
@@ -26,14 +25,20 @@ from hyperaut.geometry import (
     _sparse_rank,
     fixed_locus,
     galois_by_theorem,
-    projection_degree,
     smoothness,
 )
 from hyperaut.harness import delta_supports, example_witness
 from hyperaut.poly import HomogPoly, NotSemiInvariantError, monomials_of_degree, parse
 
 from conftest import fermat
-from oracles import binary_form_from_roots, euclid_root_count, permute_variables
+from oracles import (
+    binary_form_from_roots,
+    euclid_root_count,
+    permute_variables,
+    projection_degree,
+    restrict,
+    two_split_galois,
+)
 
 
 def test_fermat_cubic_surface_smooth():
@@ -534,9 +539,13 @@ def test_fixed_locus_counts_distinct_roots():
 
 
 def test_fixed_locus_requires_automorphism():
+    # A report exists only for a semi-invariant pair, so the Galois test and
+    # classification never meet one that is not.
     F = parse("X0^3*X1 + X1^4 + X2^4 + X3^4", 4)
     with pytest.raises(NotSemiInvariantError):
         fixed_locus(F, DiagAut(5, (1, 0, 0, 0)))
+    with pytest.raises(ValueError):
+        fixed_locus(fermat(4, 5), DiagAut(5, (1, 0, 0)))
 
 
 def test_vertex_membership_matches_fix():
@@ -566,7 +575,8 @@ def _count_slice_points_mod_p(F, indices, p):
         for mon, c in F.terms.items():
             if any(mon[i] and not coords[i] for i in range(F.num_vars)):
                 continue
-            v = c.rational_value()
+            assert c.is_rational()
+            v = c.coeffs[0]
             assert v.denominator == 1
             term = int(v)
             for i, e in enumerate(mon):
@@ -610,7 +620,7 @@ def test_point_counts_match_the_euclid_oracle_on_delta_groups():
     for F, g in _delta_group_cases(DELTA_GRID):
         for s in fixed_locus(F, g).slices:
             complement = [i for i in range(F.num_vars) if i not in s.indices]
-            restriction = F.restrict(complement) if complement else F
+            restriction = restrict(F, complement) if complement else F
             assert s.restriction_zero == restriction.is_zero()
             if s.ambient_dim == 1 and not s.restriction_zero:
                 assert s.point_count == euclid_root_count(restriction, *s.indices)
@@ -730,19 +740,16 @@ def forms_and_partitions(draw):
     blocks = {}
     for i, label in enumerate(labels):
         blocks.setdefault(label, []).append(i)
-    return (
-        HomogPoly.from_support(sorted(picked), v),
-        tuple(EigenBlock(exp=label, indices=tuple(ix)) for label, ix in blocks.items()),
-    )
+    return HomogPoly.from_support(sorted(picked), v), list(blocks.values())
 
 
 @settings(max_examples=80, deadline=None)
 @given(forms_and_partitions())
 def test_eigen_pieces_are_the_restrictions(case):
     F, blocks = case
-    for block, piece in zip(blocks, _eigen_pieces(F, blocks)):
-        complement = [i for i in range(F.num_vars) if i not in block.indices]
-        restriction = F.restrict(complement) if complement else F
+    for indices, piece in zip(blocks, _eigen_pieces(F, blocks)):
+        complement = [i for i in range(F.num_vars) if i not in indices]
+        restriction = restrict(F, complement) if complement else F
         assert HomogPoly(F.num_vars, F.degree, piece) == restriction
 
 
@@ -750,6 +757,7 @@ def test_eigen_pieces_are_the_restrictions(case):
 
 
 def test_projection_degrees():
+    # The oracle behind the two-split Galois rule.
     F = fermat(4, 4)
     assert projection_degree(F, [0], [1, 2, 3]) == 4
 
@@ -760,7 +768,7 @@ def test_projection_degrees():
     B = parse(
         "X0^2*X1*X3 + X1^2*X2*X4 + X2^2*X0*X3 + X3^2*X4*X0 + X4^2*X3*X1", 5
     )
-    assert B.restrict([0, 1, 2]).is_zero() and B.restrict([3, 4]).is_zero()
+    assert restrict(B, [0, 1, 2]).is_zero() and restrict(B, [3, 4]).is_zero()
     assert projection_degree(B, [3, 4], [0, 1, 2]) == 2
 
     with pytest.raises(ValueError):
@@ -770,25 +778,55 @@ def test_projection_degrees():
 def test_galois_by_theorem():
     F = fermat(4, 5)
     g = DiagAut(5, (1, 0, 0, 0))
-    verdict = galois_by_theorem(F, g)
+    verdict = galois_by_theorem(F, g, fixed_locus(F, g))
     assert verdict.galois and verdict.m == 5
     assert verdict.galois_point
     assert verdict.theorem == "thm-2.3"
 
     W, gw = example_witness(4)
-    v4 = galois_by_theorem(W, gw.power(4))
+    g4 = DiagAut(gw.level, tuple(4 * e for e in gw.exps))  # gw^4
+    v4 = galois_by_theorem(W, g4, fixed_locus(W, g4))
     assert v4.galois and v4.m == 3
     assert v4.scaled_block == (0, 1, 2)
 
-    assert not galois_by_theorem(W, gw).galois  # three eigenvalues
+    three = galois_by_theorem(W, gw, fixed_locus(W, gw))
+    assert not three.galois
+    assert three.reason == "needs exactly 2 eigenvalues, found 3"
     ident = DiagAut(1, (0, 0, 0, 0))
-    assert not galois_by_theorem(F, ident).galois
+    assert not galois_by_theorem(F, ident, fixed_locus(F, ident)).galois
+
+    # The quartic B contains both eigenspaces of its one symmetry, so the
+    # projection has degree 4 - 2 = 2, the order of the symmetry.
+    B = parse(
+        "X0^2*X1*X3 + X1^2*X2*X4 + X2^2*X0*X3 + X3^2*X4*X0 + X4^2*X3*X1", 5
+    )
+    g = DiagAut(2, (1, 1, 1, 0, 0))
+    fix = fixed_locus(B, g)
+    assert [s.restriction_zero for s in fix.slices] == [True, True]
+    verdict = galois_by_theorem(B, g, fix)
+    assert verdict == two_split_galois(B, g)
+    assert verdict.galois and verdict.m == 2 and verdict.scaled_block == (0, 1, 2)
 
 
-def test_galois_by_theorem_handles_only_non_semi_invariance():
-    F = parse("X0^3*X1 + X1^4 + X2^4 + X3^4", 4)
-    verdict = galois_by_theorem(F, DiagAut(5, (1, 0, 0, 0)))
-    assert not verdict.galois
-    assert verdict.reason == "not an automorphism of the hypersurface"
-    with pytest.raises(ValueError):
-        galois_by_theorem(fermat(4, 5), DiagAut(5, (1, 0, 0)))
+def test_galois_by_theorem_matches_the_two_split_rule():
+    # Every two-eigenvalue element of the delta groups and of the witness
+    # surfaces' groups: the verdict read off the slices equals the old rule
+    # that restricts F to each block and tries both splits, and the oracle's
+    # projection degree is the same for both splits.
+    cases = list(_delta_group_cases(DELTA_GRID))
+    for d in (4, 5, 6):
+        W, _ = example_witness(d)
+        cases += [(W, g) for g in enumerate_elements(symmetry_group(W.support()))]
+    checked = fired = 0
+    for F, g in cases:
+        if len(set(g.exps)) != 2:
+            continue
+        first, second = sorted(
+            [i for i in range(F.num_vars) if g.exps[i] == e] for e in set(g.exps)
+        )
+        assert projection_degree(F, first, second) == projection_degree(F, second, first)
+        verdict = galois_by_theorem(F, g, fixed_locus(F, g))
+        assert verdict == two_split_galois(F, g)
+        checked += 1
+        fired += verdict.galois
+    assert checked > 1000 and fired > 100

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,11 @@ from hypothesis import strategies as st
 from hyperaut.autgrp import DiagAut, multiplier, parse_diag
 from hyperaut.cyclo import rational, root_of_unity
 from hyperaut.poly import (
+    MAX_DEGREE,
+    MAX_ROOT_LEVEL,
+    MAX_TERMS,
+    MAX_VARS,
+    CapExceededError,
     HomogPoly,
     NotHomogeneousError,
     NotSemiInvariantError,
@@ -17,7 +23,7 @@ from hyperaut.poly import (
 )
 
 from conftest import fermat
-from oracles import apply_diagonal, compose, permute_variables, probe_support_queries
+from oracles import apply_diagonal, compose, permute_variables, probe_support_queries, restrict
 
 
 def test_parse_fermat_cubic():
@@ -39,8 +45,8 @@ def test_parse_not_homogeneous():
 
 def test_parse_coefficients_and_errors():
     F = parse("2/3*X0^2 - (1 + z3)*X0*X1 + X1^2", 2)
-    assert F.coeff((2, 0)) == rational(2) / 3
-    assert F.coeff((1, 1)) == -(rational(1) + root_of_unity(3, 1))
+    assert F.terms[(2, 0)] == rational(2) / 3
+    assert F.terms[(1, 1)] == -(rational(1) + root_of_unity(3, 1))
     with pytest.raises(ParseError):
         parse("X0^2 + X5^2", 2)
     with pytest.raises(ParseError):
@@ -49,6 +55,40 @@ def test_parse_coefficients_and_errors():
         parse("X0 / X1", 2)
     assert parse_scalar("z12^4") == root_of_unity(3, 1)
     assert parse_scalar("3/4 * z2") == rational(-3) / 4
+
+
+def _monomial_text(mon):
+    return "*".join(f"X{i}^{e}" for i, e in enumerate(mon) if e)
+
+
+@pytest.mark.parametrize("text, num_vars, message", [
+    ("X0^1000000 + X1^1000000", 4, f"degree 1000000 exceeds the cap of {MAX_DEGREE}"),
+    ("X0^200 * X1^57", 2, f"degree 257 exceeds the cap of {MAX_DEGREE}"),
+    ("(X0+X1+X2+X3)^40", 4, f"a product of 286 by 4 terms exceeds the cap of {MAX_TERMS}"),
+    (" + ".join(_monomial_text(m) for m in monomials_of_degree(MAX_VARS, 3)[:MAX_TERMS + 1]),
+     MAX_VARS, f"a sum of more than {MAX_TERMS} terms exceeds the term cap"),
+    ("z3^3000 * X0", 1, f"exponent 3000 exceeds the cap of {MAX_ROOT_LEVEL}"),
+    ("X0", MAX_VARS + 1, f"{MAX_VARS + 1} variables exceed the cap of {MAX_VARS}"),
+    ("X99999999", 10 ** 8, f"100000000 variables exceed the cap of {MAX_VARS}"),
+], ids=["exponent", "product-degree", "product-terms", "sum-terms", "scalar-exponent",
+        "variables", "variable-index"])
+def test_parse_refuses_inputs_above_the_caps_at_once(text, num_vars, message):
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError) as info:
+        parse(text, num_vars)
+    assert time.perf_counter() - start < 0.5
+    assert str(info.value) == message
+
+
+def test_parse_admits_inputs_at_the_caps():
+    assert parse(f"X0^{MAX_DEGREE} + X1^{MAX_DEGREE}", 2).degree == MAX_DEGREE
+    assert parse(f"X{MAX_VARS - 1}", MAX_VARS).num_vars == MAX_VARS
+    # 2 * (k + 1) term pairs at the step to (X0 + X1)^(k + 1).
+    assert len(parse(f"(X0 + X1)^{MAX_DEGREE}", 2).terms) == MAX_DEGREE + 1
+    assert parse_scalar(f"z{MAX_ROOT_LEVEL}^{MAX_ROOT_LEVEL - 1}") == root_of_unity(
+        MAX_ROOT_LEVEL, MAX_ROOT_LEVEL - 1
+    )
+    assert parse_scalar("(1+z3)^-7") * parse_scalar("(1+z3)^7") == 1
 
 
 def test_str_round_trip():
@@ -70,7 +110,7 @@ def test_apply_diagonal_single_term():
     g = DiagAut(12, (4, 4, 1, 0, 0))
     assert multiplier(F, g) == root_of_unity(12, 4)
     G = apply_diagonal(F, g.eigenvalues())
-    assert G.coeff((1, 0, 0, 3, 0)) == root_of_unity(12, 4)
+    assert G.terms[(1, 0, 0, 3, 0)] == root_of_unity(12, 4)
 
 
 def test_apply_diagonal_rejects_zero():
@@ -161,16 +201,16 @@ def test_support_queries_in_low_degrees():
 
 def test_restrict():
     F = fermat(4, 4)
-    R = F.restrict({0})
+    R = restrict(F, {0})
     assert set(R.support()) == {(0, 4, 0, 0), (0, 0, 4, 0), (0, 0, 0, 4)}
 
     W = parse("X0^4+X1^4+X2^4+X0*X3^3+X1*X4^3", 5)
-    assert W.restrict({0, 1, 2}).is_zero()
+    assert restrict(W, {0, 1, 2}).is_zero()
 
     P = parse("X0^3", 2)
-    assert P.restrict({1}) == P
+    assert restrict(P, {1}) == P
     with pytest.raises(ValueError):
-        P.restrict({0, 1})
+        restrict(P, {0, 1})
 
 
 def test_partial():
@@ -245,7 +285,7 @@ def test_apply_diagonal_multiplicative(data):
     assert apply_diagonal(apply_diagonal(F, g.eigenvalues()), h.eigenvalues()) == moved
     t = _multiplier_or_none(F, gh)
     if t is None:
-        assert all(moved != F * (moved.coeff(m) / F.coeff(m)) for m in F.terms)
+        assert all(moved != F * (moved.terms[m] / F.terms[m]) for m in F.terms)
     else:
         assert moved == F * t
     tg, th = _multiplier_or_none(F, g), _multiplier_or_none(F, h)
