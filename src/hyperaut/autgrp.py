@@ -178,18 +178,13 @@ def smith_normal_form(rows: list[list[int]], num_cols: int):
     """U @ A @ V == D with U, V unimodular and D in Smith normal form.
 
     A is given as a list of integer rows of length num_cols.  Returns
-    (U, D, V) as lists of lists.  D is diagonal with d1 | d2 | ... and
-    nonnegative entries.
+    (D, V) as lists of lists; no caller needs the row transform U, so it is
+    not built.  D is diagonal with d1 | d2 | ... and nonnegative entries.
     """
     nr = len(rows)
     nc = num_cols
     D = [list(r) for r in rows]
-    U = [[int(i == j) for j in range(nr)] for i in range(nr)]
     V = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for row in D:
@@ -200,18 +195,12 @@ def smith_normal_form(rows: list[list[int]], num_cols: int):
     def add_row(src, dst, c):
         for k in range(nc):
             D[dst][k] += c * D[src][k]
-        for k in range(nr):
-            U[dst][k] += c * U[src][k]
 
     def add_col(src, dst, c):
         for row in D:
             row[dst] += c * row[src]
         for row in V:
             row[dst] += c * row[src]
-
-    def negate_row(i):
-        D[i] = [-x for x in D[i]]
-        U[i] = [-x for x in U[i]]
 
     t = 0
     while t < min(nr, nc):
@@ -223,10 +212,10 @@ def smith_normal_form(rows: list[list[int]], num_cols: int):
                     pivot = (i, j)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
+        D[t], D[pivot[0]] = D[pivot[0]], D[t]
         swap_cols(t, pivot[1])
         if D[t][t] < 0:
-            negate_row(t)
+            D[t] = [-x for x in D[t]]
         dirty = False
         for i in range(t + 1, nr):
             if D[i][t]:
@@ -255,7 +244,7 @@ def smith_normal_form(rows: list[list[int]], num_cols: int):
             add_row(bad, t, 1)
             continue
         t += 1
-    return U, D, V
+    return D, V
 
 
 @dataclass(frozen=True)
@@ -302,7 +291,7 @@ def symmetry_group(support, num_vars: int | None = None) -> SymGroup:
         raise ValueError("support monomials have mixed degrees")
     base = support[0]
     rows = [[m[i] - base[i] for i in range(num_vars)] for m in support[1:]]
-    _, D, V = smith_normal_form(rows, num_vars)
+    D, V = smith_normal_form(rows, num_vars)
     diag = [D[i][i] for i in range(min(len(rows), num_vars))]
     rank = sum(1 for d in diag if d)
     if num_vars - rank > 1:

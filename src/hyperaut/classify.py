@@ -16,14 +16,13 @@ thm-3.18, thm-4.5-corrected, ...) used across reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from itertools import combinations
+from functools import lru_cache
 from math import lcm
 
 from .autgrp import DiagAut, multiplier, smith_normal_form
 from .cyclo import CycloNum
 from .geometry import FixedLocusReport, GaloisVerdict, galois_by_theorem
-from .poly import HomogPoly
+from .poly import MAX_VARS, CapExceededError, HomogPoly
 
 TYPE_I = "I"
 TYPE_II = "II"
@@ -51,6 +50,29 @@ def check_range(n: int, d: int) -> None:
         raise UnsupportedRangeError("the pair (n, d) = (2, 4) is excluded")
 
 
+# -- the paper's order lists, read by the bound tables and the type-level claims --
+
+
+def _product_bounds(d: int) -> tuple[int, ...]:
+    return ((d - 1) * d, (d - 1) ** 2, (d - 2) * d)
+
+
+def _threefold_bounds(d: int) -> tuple[int, ...]:
+    return _product_bounds(d) + (d * d - 3 * d + 3, (d - 2) * (d - 1))
+
+
+def _surface_bounds(d: int) -> tuple[int, ...]:
+    """The six product bounds for surfaces and the length-four cycle constant.
+
+    The published list omits the cycle constant (d-2)(d^2-2d+2) =
+    ((d-1)^4 - 1)/d, the order of a symmetry of the smooth surface
+    X0^(d-1)X1 + X1^(d-1)X2 + X2^(d-1)X3 + X3^(d-1)X0 with four fixed points.
+    """
+    q = d * d - 3 * d + 3
+    return ((d - 1) ** 2 * d, (d - 1) ** 3, q * d, q * (d - 1), d * (d - 1) * (d - 2),
+            (d - 2) * (d - 1) ** 2, (d - 2) * (d * d - 2 * d + 2))
+
+
 # -- numeric bound generators ---------------------------------------------------
 
 
@@ -58,33 +80,30 @@ def badr_bars_divisors(d: int) -> frozenset[int]:
     """Extremal order bounds for smooth plane curves of degree d >= 4."""
     if d < 4:
         raise UnsupportedRangeError("plane-curve bounds need degree d >= 4")
-    return frozenset({(d - 1) * d, (d - 1) ** 2, (d - 2) * d, d * d - 3 * d + 3})
+    return frozenset(_product_bounds(d) + (d * d - 3 * d + 3,))
 
 
 def zheng_integers(n: int, d: int) -> frozenset[int]:
     """Global order bounds for linear automorphisms in dimension n, degree d.
 
-    Enumerates the chain integers |1 - (1-d)^a| and their admissible lcm
-    combinations, including the (d-1)-power tail variants.
+    Each nonempty set of distinct parts a <= n+1 with sum s <= n+2 gives the
+    lcm of its chain integers |1 - (1-d)^a|, alone and with (d-1)^(b-1) for
+    every b in 2..n+2-s.  Only those sets are walked, not all 2^(n+1).
     """
     if d < 3 or n < 1:
         raise UnsupportedRangeError("bounds need d >= 3 and n >= 1")
-
-    def chain(a: int) -> int:
-        return abs(1 - (1 - d) ** a)
-
-    out = {chain(n + 2) // d, (d - 1) ** (n + 1)}
-    out.update(chain(a) for a in range(1, n + 2))
-    heads = range(1, n + 2)
-    for t in range(2, n + 3):
-        for combo in combinations(heads, t):
-            if sum(combo) <= n + 2:
-                out.add(reduce(lcm, (chain(a) for a in combo)))
-    for t in range(1, n + 3):
-        for combo in combinations(heads, t):
-            s = sum(combo)
-            for b in range(2, n + 3 - s):
-                out.add(reduce(lcm, (chain(a) for a in combo), (d - 1) ** (b - 1)))
+    if n + 2 > MAX_VARS:
+        raise CapExceededError(f"{n + 2} variables exceed the cap of {MAX_VARS}")
+    chain = [abs(1 - (1 - d) ** a) for a in range(n + 3)]
+    out = {chain[n + 2] // d, (d - 1) ** (n + 1)}
+    stack = [(0, 0, 1)]  # (largest part, sum, lcm) of a set of parts
+    while stack:
+        top, s, m = stack.pop()
+        for a in range(top + 1, min(n + 1, n + 2 - s) + 1):
+            head = lcm(m, chain[a])
+            out.add(head)
+            out.update(lcm(head, (d - 1) ** (b - 1)) for b in range(2, n + 3 - s - a))
+            stack.append((a, s + a, head))
     return frozenset(out)
 
 
@@ -96,22 +115,10 @@ def theorem11_divisors(n: int, d: int, codim: int) -> frozenset[int]:
     if codim != 2:
         raise ValueError("codim must be 1 or 2")
     if n >= 4:
-        return frozenset({(d - 1) * d, (d - 1) ** 2, (d - 2) * d})
+        return frozenset(_product_bounds(d))
     if n == 3:
-        return frozenset(
-            {(d - 1) * d, (d - 1) ** 2, (d - 2) * d, d * d - 3 * d + 3,
-             (d - 2) * (d - 1)}
-        )
-    # Surfaces: the six product bounds plus the length-four cycle constant
-    # (d-2)(d^2-2d+2) = ((d-1)^4 - 1)/d, realized by the smooth surface
-    # X0^(d-1)X1 + X1^(d-1)X2 + X2^(d-1)X3 + X3^(d-1)X0 with four isolated
-    # fixed points.
-    q = d * d - 3 * d + 3
-    return frozenset(
-        {(d - 1) ** 2 * d, (d - 1) ** 3, q * d, q * (d - 1),
-         (d - 2) * (d - 1) * d, (d - 2) * (d - 1) ** 2,
-         (d - 2) * (d * d - 2 * d + 2)}
-    )
+        return frozenset(_threefold_bounds(d))
+    return frozenset(_surface_bounds(d))
 
 
 def theorem11_side_condition(codim: int) -> str | None:
@@ -157,47 +164,23 @@ def theorem11_claims(n: int, d: int, codim: int) -> tuple[DivisorClaim, ...]:
     )
 
 
-def _claims(*pairs) -> tuple[DivisorClaim, ...]:
-    return tuple(DivisorClaim(v, r) for v, r in pairs)
-
-
 def type_level_claims(normal_type: str, n: int, d: int) -> tuple[DivisorClaim, ...]:
-    """Per-type divisor lists with no incidence refinement.
-
-    The Type VI list carries the length-four cycle constant
-    (d-2)(d^2-2d+2) = ((d-1)^4 - 1)/d alongside the six product bounds: the
-    smooth surface X0^(d-1)X1 + X1^(d-1)X2 + X2^(d-1)X3 + X3^(d-1)X0
-    realizes exactly that order with four isolated fixed points.
-    """
-    q = d * d - 3 * d + 3
+    """Per-type divisor lists with no incidence refinement."""
     if normal_type == TYPE_I:
-        return _claims((d, None), (d - 1, None))
+        return (DivisorClaim(d), DivisorClaim(d - 1))
     if normal_type == TYPE_II:
-        return _claims((d, None), (d - 1, None), (d - 2, 2))
-    if normal_type == TYPE_III:
-        return _claims(((d - 1) * d, None), ((d - 1) ** 2, None), ((d - 2) * d, None))
+        return (DivisorClaim(d), DivisorClaim(d - 1), DivisorClaim(d - 2, 2))
     if normal_type == TYPE_IV:
-        if n > 4:
-            return ()
-        return _claims((d - 1, None), (d - 2, 4))
-    if normal_type == TYPE_V:
-        if n == 2:
-            return _claims(((d - 1) * d, None), ((d - 1) ** 2, None), ((d - 2) * d, None))
-        if n == 3:
-            return _claims(
-                ((d - 1) * d, None), ((d - 1) ** 2, None), ((d - 2) * d, None),
-                (q, None), ((d - 2) * (d - 1), None),
-            )
+        return (DivisorClaim(d - 1), DivisorClaim(d - 2, 4)) if n <= 4 else ()
+    if normal_type == TYPE_III or (normal_type == TYPE_V and n == 2):
+        values = _product_bounds(d)
+    elif normal_type == TYPE_V and n == 3:
+        values = _threefold_bounds(d)
+    elif normal_type == TYPE_VI and n == 2:
+        values = _surface_bounds(d)
+    else:
         return ()
-    if normal_type == TYPE_VI:
-        if n != 2:
-            return ()
-        return _claims(
-            ((d - 1) ** 2 * d, None), ((d - 1) ** 3, None), (q * d, None),
-            (q * (d - 1), None), ((d - 2) * (d - 1) * d, None),
-            ((d - 2) * (d - 1) ** 2, None), ((d - 2) * (d * d - 2 * d + 2), None),
-        )
-    return ()
+    return tuple(DivisorClaim(v) for v in values)
 
 
 # -- normalized incidence ----------------------------------------------------------
@@ -222,21 +205,11 @@ class NormalizedIncidence:
     block_piece_zero: bool
 
 
-def _block_variables(normal_type: str) -> tuple[int, dict[int, int]]:
-    """(number of eigenvalue variables, block position -> variable index)."""
-    if normal_type == TYPE_I:
-        return 1, {0: 0}
-    if normal_type == TYPE_II:
-        return 1, {0: 0, 1: 0}
-    if normal_type == TYPE_III:
-        return 2, {0: 0, 1: 1}
-    if normal_type == TYPE_IV:
-        return 1, {0: 0, 1: 0, 2: 0}
-    if normal_type == TYPE_V:
-        return 2, {0: 0, 1: 0, 2: 1}
-    if normal_type == TYPE_VI:
-        return 3, {0: 0, 1: 1, 2: 2}
-    raise ValueError(normal_type)
+# The eigenvalue variable of each block position, per normal-form type.
+_BLOCK_VARIABLES = {
+    TYPE_I: (0,), TYPE_II: (0, 0), TYPE_III: (0, 1),
+    TYPE_IV: (0, 0, 0), TYPE_V: (0, 0, 1), TYPE_VI: (0, 1, 2),
+}
 
 
 def _admissible_t_cases(normal_type: str, incidence: NormalizedIncidence):
@@ -248,31 +221,26 @@ def _admissible_t_cases(normal_type: str, incidence: NormalizedIncidence):
     top-piece dichotomy, one of the block eigenvalues for Types V and VI with
     their dimension constraints.
     """
-    nvars, _ = _block_variables(normal_type)
-    if normal_type == TYPE_I:
+    if normal_type in (TYPE_I, TYPE_III):
         return [(None, None, [])]
     if normal_type == TYPE_II:
         return [(None, None, []), (0, 2, [])]
-    if normal_type == TYPE_III:
-        return [(None, None, [])]
     if normal_type == TYPE_IV:
         # Top piece in the block variables nonzero forces multiplier a^d;
         # otherwise the degree-(d-1) piece is nonzero, which needs n = 4.
         if incidence.block_piece_zero:
-            return [(0, 4, [("piece", 0, True)])]
-        return [(0, None, [("piece", 0, False)])]
+            return [(0, 4, [(0, True)])]
+        return [(0, None, [(0, False)])]
     if normal_type == TYPE_V:
         return [(0, None, []), (1, 2, [])]
-    if normal_type == TYPE_VI:
-        return [(v, None, []) for v in range(nvars)]
-    return []
+    return [(v, None, []) for v in range(3)]  # Type VI
 
 
 def _solution_exponent(rows: list[list[int]], nvars: int) -> int | None:
     """Exponent of {x in (Q/Z)^nvars : R x integral}, None when infinite."""
     if not rows:
         return None
-    _, D, _ = smith_normal_form(rows, nvars)
+    D, _ = smith_normal_form(rows, nvars)
     diag = [abs(D[i][i]) for i in range(min(len(rows), nvars))]
     nonzero = [x for x in diag if x]
     if len(nonzero) < nvars:
@@ -300,9 +268,8 @@ def branch_claims(
     fallback = type_level_claims(normal_type, n, d)
     if incidence is None or not fallback:
         return fallback
-    if normal_type not in (TYPE_I, TYPE_II, TYPE_III, TYPE_IV, TYPE_V, TYPE_VI):
-        return fallback
-    nvars, varof = _block_variables(normal_type)
+    varof = _BLOCK_VARIABLES[normal_type]
+    nvars = max(varof) + 1
     if incidence.block_size != len(varof):
         return fallback
     base_rows: list[list[int]] = []
@@ -328,7 +295,7 @@ def branch_claims(
     claims: list[DivisorClaim] = []
     for t_var, requires_n, extras in _admissible_t_cases(normal_type, incidence):
         rows = [list(r) for r in base_rows]
-        for kind, v, zero in extras:
+        for v, zero in extras:
             row = [0] * nvars
             row[v] += d - 1 if zero else d
             rows.append(row)
@@ -352,7 +319,6 @@ def _absorb(claims: list[DivisorClaim]) -> tuple[DivisorClaim, ...]:
             (ov, oreq) != (value, req)
             and ov % value == 0
             and (oreq is None or oreq == req)
-            and not (ov == value and oreq == req)
             for ov, oreq in unique
         )
         if not dominated:

@@ -1,18 +1,22 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 the audit found violations, 2 input or logic
-error (unparseable input, a mismatched automorphism, an unsupported range),
-3 the hypersurface is singular, 4 an enumeration or size cap was exceeded.
+Exit codes: 0 success, 1 the audit found violations, 2 the input was refused
+(unparseable or non-homogeneous text, not an automorphism, an unsupported
+(n, d), an infinite group), 3 the hypersurface is singular, 4 an input,
+enumeration or size cap was exceeded.  Any other error is a bug and shows a
+traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import __version__
 from .autgrp import (
+    DEFAULT_ENUMERATION_CAP,
     CapExceededError,
     InfiniteGroupError,
     parse_diag,
@@ -28,9 +32,9 @@ from .classify import (
     theorem11_side_condition,
     zheng_integers,
 )
-from .geometry import fixed_locus, smoothness
+from .geometry import DEFAULT_ENTRY_CAP, fixed_locus, smoothness
 from .harness import AUDIT_CLAIM_IDS, audit_theorem
-from .poly import NotSemiInvariantError, ParseError, parse, _format_monomial
+from .poly import NotHomogeneousError, NotSemiInvariantError, ParseError, parse
 
 SCHEMA_VERSION = 1
 
@@ -38,6 +42,18 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SINGULAR = 3
 EXIT_CAP = 4
+
+# The one map from errors to exit codes: the first class that matches
+# decides.  Any other exception is a bug and propagates with its traceback.
+EXIT_CODES = {
+    CapExceededError: EXIT_CAP,
+    VertexSmoothnessError: EXIT_SINGULAR,
+    ParseError: EXIT_INPUT,
+    NotHomogeneousError: EXIT_INPUT,
+    NotSemiInvariantError: EXIT_INPUT,
+    InfiniteGroupError: EXIT_INPUT,
+    UnsupportedRangeError: EXIT_INPUT,
+}
 
 
 def _emit(payload: dict, as_json: bool, lines) -> None:
@@ -76,21 +92,10 @@ def _smooth_to_dict(cert):
 
 
 def cmd_analyze(args) -> int:
-    try:
-        g = parse_diag(args.aut)
-        F = parse(args.poly, g.num_vars)
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+    g = parse_diag(args.aut)
+    F = parse(args.poly, g.num_vars)
     n, d = F.num_vars - 2, F.degree
-    try:
-        check_range(n, d)
-    except UnsupportedRangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    check_range(n, d)
 
     conditional = False
     if args.skip_smoothness:
@@ -98,7 +103,7 @@ def cmd_analyze(args) -> int:
                      "reason": "smoothness check skipped on request"}
         conditional = True
     else:
-        cert = smoothness(F, entry_cap=args.cap) if args.cap else smoothness(F)
+        cert = smoothness(F, entry_cap=args.cap)
         cert_dict = _smooth_to_dict(cert)
         if cert.verdict == "singular":
             payload = {
@@ -115,22 +120,8 @@ def cmd_analyze(args) -> int:
         if cert.verdict == "inconclusive":
             conditional = True
 
-    try:
-        fix = fixed_locus(F, g)
-    except NotSemiInvariantError as exc:
-        a, b = exc.witness
-        print(
-            "error: not an automorphism of this hypersurface; "
-            f"witness monomials {_format_monomial(a)} and {_format_monomial(b)}",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
-
-    try:
-        case = classify_case(F, g, fix)
-    except VertexSmoothnessError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
+    fix = fixed_locus(F, g)
+    case = classify_case(F, g, fix)
 
     rationality = case.rationality.status
     primary = case.rationality.primary
@@ -197,22 +188,14 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_symmetries(args) -> int:
-    try:
-        guess_vars = args.vars
-        if guess_vars is None:
-            import re
-            indices = [int(m) for m in re.findall(r"[xX](\d+)", args.poly)]
-            if not indices:
-                raise ParseError("no variables found in the support")
-            guess_vars = max(indices) + 1
-        F = parse(args.poly, guess_vars)
-        group = symmetry_group(F.support(), F.num_vars)
-    except (ParseError, InfiniteGroupError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+    guess_vars = args.vars
+    if guess_vars is None:
+        indices = [int(m) for m in re.findall(r"[xX](\d+)", args.poly)]
+        if not indices:
+            raise ParseError("no variables found in the support")
+        guess_vars = max(indices) + 1
+    F = parse(args.poly, guess_vars)
+    group = symmetry_group(F.support(), F.num_vars)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "input": {"poly": str(F), "num_vars": F.num_vars},
@@ -233,20 +216,16 @@ def cmd_symmetries(args) -> int:
 
 def cmd_bounds(args) -> int:
     n, d = args.n, args.d
-    try:
-        if n < 1 or d < 3:
-            raise UnsupportedRangeError("bounds need n >= 1 and d >= 3")
-        zheng = sorted(zheng_integers(n, d))
-        badr = sorted(badr_bars_divisors(d)) if n == 1 else None
-        if n >= 2:
-            check_range(n, d)
-            t11_codim1 = sorted(theorem11_divisors(n, d, 1))
-            t11_codim2 = sorted(theorem11_divisors(n, d, 2))
-        else:
-            t11_codim1 = t11_codim2 = None
-    except UnsupportedRangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    if n < 1 or d < 3:
+        raise UnsupportedRangeError("bounds need n >= 1 and d >= 3")
+    zheng = sorted(zheng_integers(n, d))
+    badr = sorted(badr_bars_divisors(d)) if n == 1 else None
+    if n >= 2:
+        check_range(n, d)
+        t11_codim1 = sorted(theorem11_divisors(n, d, 1))
+        t11_codim2 = sorted(theorem11_divisors(n, d, 2))
+    else:
+        t11_codim1 = t11_codim2 = None
     payload = {
         "schema_version": SCHEMA_VERSION,
         "input": {"n": n, "d": d},
@@ -270,18 +249,11 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    try:
-        report = audit_theorem(
-            args.n, args.d, args.claim,
-            enum_cap=args.cap,
-            keep_records=not args.no_records,
-        )
-    except (UnsupportedRangeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+    report = audit_theorem(
+        args.n, args.d, args.claim,
+        enum_cap=args.cap,
+        keep_records=not args.no_records,
+    )
     payload = {
         "schema_version": SCHEMA_VERSION,
         "input": {"n": args.n, "d": args.d, "claim": args.claim},
@@ -361,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", required=True, help='e.g. "X0^5+X1^5+X2^5+X3^5"')
     p.add_argument("--aut", required=True, help='e.g. "diag(z5, 1, 1, 1)"')
     p.add_argument("--json", action="store_true")
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--cap", type=int, default=DEFAULT_ENTRY_CAP,
                    help="entry cap for the smoothness matrix")
     p.add_argument("--skip-smoothness", action="store_true",
                    help="skip the smoothness certificate; verdicts become conditional")
@@ -384,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("d", type=int)
     p.add_argument("claim", choices=sorted(AUDIT_CLAIM_IDS))
-    p.add_argument("--cap", type=int, default=10 ** 6,
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
                    help="group enumeration cap")
     p.add_argument("--json", action="store_true")
     p.add_argument("--no-records", action="store_true",
@@ -395,7 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -18,7 +18,8 @@ MAX_ROOT_LEVEL is refused with CapExceededError before any table is built.
 The parser refuses the same way, before expanding it, any product or power
 of degree above MAX_DEGREE, any product of more than MAX_TERMS term pairs,
 any sum of more than MAX_TERMS terms, any scalar power with an exponent
-above MAX_ROOT_LEVEL, and more than MAX_VARS variables.
+above MAX_ROOT_LEVEL, more than MAX_VARS variables, and a coefficient
+product that would take one parse's work above COST_BUDGET.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .cyclo import CycloNum, rational, root_of_unity
+from .cyclo import CycloNum, euler_phi, rational, root_of_unity
 
 Monomial = tuple[int, ...]
 
@@ -37,12 +38,17 @@ Monomial = tuple[int, ...]
 # 4:5 (1,280 at 4:5).  An analyze call at the largest prime below the cap,
 # 2039, peaks at about 81 MB.
 MAX_ROOT_LEVEL = 2048
-# The degree-200 Fermat surface is the largest input the tests use.  The
-# symmetry group of a support builds a square matrix with one row per term:
-# `symmetries` takes 0.3-1.3 s on 1,024 terms, 6-21 s and 170 MB on 4,096.
+# The degree-200 Fermat surface is the largest input the tests use.  MAX_TERMS
+# bounds the term pairs of each product the parser expands; `symmetry_group`
+# takes 0.6 s and 33 MB on 4,096 random cubic terms in 32 variables.
 MAX_DEGREE = 256
 MAX_TERMS = 1024
 MAX_VARS = 32
+# Steps of about 0.1 us (_Parser._charge).  The largest parse in the tests
+# costs 2.2e7.  On a 2-vCPU host steps run slowest, 0.16 us, in level-12
+# binomial powers at the degree cap: two of them (4.1e7) take 6.8 s at 18 MB,
+# and a parse that runs out of budget stops within about 11 s.
+COST_BUDGET = 2 ** 26
 
 
 class ParseError(ValueError):
@@ -70,7 +76,7 @@ class NotSemiInvariantError(Exception):
     def __init__(self, mon_a: Monomial, mon_b: Monomial):
         self.witness = (mon_a, mon_b)
         super().__init__(
-            "characters differ on monomials "
+            "not an automorphism of this hypersurface; witness monomials "
             f"{_format_monomial(mon_a)} and {_format_monomial(mon_b)}"
         )
 
@@ -329,6 +335,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.num_vars = num_vars
+        self.cost = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -371,13 +378,14 @@ class _Parser:
             op = self.next()
             rhs = self._factor()
             if op == "*":
-                _check_product(value, rhs)
-                value = _dict_mul(value, rhs)
+                value = self._mul(value, rhs)
             else:
                 scalar = _as_scalar(rhs)
                 if scalar is None or not scalar:
                     raise ParseError("division is only allowed by a nonzero scalar")
-                value = {m: c / scalar for m, c in value.items()}
+                # One inverse, charged as the divisor's square, then a product.
+                self._charge(rhs, rhs)
+                value = self._mul(value, {self._unit(): scalar.inverse()})
         return value
 
     def _factor(self):
@@ -395,7 +403,7 @@ class _Parser:
             tok = self.next()
             if not tok.isdigit():
                 raise ParseError(f"expected an integer exponent, got {tok!r}")
-            value = _dict_pow(value, exp_sign * int(tok), self.num_vars)
+            value = self._pow(value, exp_sign * int(tok))
         if sign < 0:
             value = {m: -c for m, c in value.items()}
         return value
@@ -427,6 +435,58 @@ class _Parser:
 
     def _unit(self) -> Monomial:
         return (0,) * self.num_vars
+
+    def _charge(self, a, b) -> None:
+        """Charge the coefficient products of a * b against COST_BUDGET.
+
+        A term pair at level L (the lcm of the levels) costs 32 (phi(L) + 4)
+        steps, and a pair of irrational coefficients phi(L)^2 h_a h_b more,
+        a dense product on h-limb ints; roots of unity count as dense.
+        """
+        phi = euler_phi(lcm(*(c.level for c in a.values()), *(c.level for c in b.values())))
+        (dense_a, h_a), (dense_b, h_b) = _size(a), _size(b)
+        self.cost += len(a) * len(b) * 32 * (phi + 4) + dense_a * dense_b * phi * phi * h_a * h_b
+        if self.cost > COST_BUDGET:
+            raise CapExceededError(
+                f"coefficient work of {self.cost} steps exceeds the budget of {COST_BUDGET}"
+            )
+
+    def _mul(self, a, b):
+        """The product of two term dicts, refused above the caps and the budget."""
+        degree = _degree(a) + _degree(b)
+        if degree > MAX_DEGREE:
+            raise CapExceededError(f"degree {degree} exceeds the cap of {MAX_DEGREE}")
+        if len(a) * len(b) > MAX_TERMS:
+            raise CapExceededError(
+                f"a product of {len(a)} by {len(b)} terms exceeds the cap of {MAX_TERMS}"
+            )
+        self._charge(a, b)
+        return _dict_mul(a, b)
+
+    def _pow(self, a, k):
+        scalar = _as_scalar(a)
+        # zN^k with k < N is the largest scalar power a diag(...) text needs.
+        if scalar is not None and abs(k) > MAX_ROOT_LEVEL:
+            raise CapExceededError(f"exponent {k} exceeds the cap of {MAX_ROOT_LEVEL}")
+        if k < 0 and not scalar:
+            raise ParseError("negative powers are only allowed for nonzero scalars")
+        out = {self._unit(): rational(1)}
+        if scalar is None:
+            degree = _degree(a) * k
+            if degree > MAX_DEGREE:
+                raise CapExceededError(f"degree {degree} exceeds the cap of {MAX_DEGREE}")
+            for _ in range(k):
+                out = self._mul(out, a)
+            return out
+        if k < 0:
+            self._charge(a, a)
+            a = {self._unit(): scalar.inverse()}
+        # Binary powering, each product charged with the heights it meets.
+        for bit in bin(abs(k))[2:]:
+            out = self._mul(out, out)
+            if bit == "1":
+                out = self._mul(out, a)
+        return out
 
 
 def _dict_add(out, b, sign=1):
@@ -460,37 +520,11 @@ def _degree(a) -> int:
     return max(map(sum, a), default=0)
 
 
-def _check_product(a, b) -> None:
-    """Refuse the product of two term dicts before it is expanded."""
-    degree = _degree(a) + _degree(b)
-    if degree > MAX_DEGREE:
-        raise CapExceededError(f"degree {degree} exceeds the cap of {MAX_DEGREE}")
-    if len(a) * len(b) > MAX_TERMS:
-        raise CapExceededError(
-            f"a product of {len(a)} by {len(b)} terms exceeds the cap of {MAX_TERMS}"
-        )
-
-
-def _dict_pow(a, k, num_vars):
-    scalar = _as_scalar(a)
-    if scalar is None:
-        if k < 0:
-            raise ParseError("negative powers are only allowed for nonzero scalars")
-        degree = _degree(a) * k
-        if degree > MAX_DEGREE:
-            raise CapExceededError(f"degree {degree} exceeds the cap of {MAX_DEGREE}")
-        out = {(0,) * num_vars: rational(1)}
-        for _ in range(k):
-            _check_product(out, a)
-            out = _dict_mul(out, a)
-        return out
-    # zN^k with k < N is the largest scalar power a diag(...) text needs.
-    if abs(k) > MAX_ROOT_LEVEL:
-        raise CapExceededError(f"exponent {k} exceeds the cap of {MAX_ROOT_LEVEL}")
-    if k < 0 and not scalar:
-        raise ParseError("negative powers are only allowed for nonzero scalars")
-    power = scalar ** k if k else rational(1)
-    return {(0,) * num_vars: power} if power else {}
+def _size(a) -> tuple[int, int]:
+    """(irrational coefficients, 64-bit limbs of the largest numerator or denominator)."""
+    bits = max((max(q.numerator.bit_length(), q.denominator.bit_length())
+                for c in a.values() for q in c.coeffs), default=0)
+    return sum(not c.is_rational() for c in a.values()), 1 + bits // 64
 
 
 def _as_scalar(value) -> CycloNum | None:
@@ -505,7 +539,7 @@ def _as_scalar(value) -> CycloNum | None:
 def parse(text: str, num_vars: int) -> HomogPoly:
     """Parse a homogeneous polynomial in num_vars variables X0..X(num_vars-1)."""
     if num_vars < 1:
-        raise ValueError("need at least one variable")
+        raise ParseError("need at least one variable")
     if num_vars > MAX_VARS:
         raise CapExceededError(f"{num_vars} variables exceed the cap of {MAX_VARS}")
     value = _Parser(text, num_vars).parse()

@@ -56,6 +56,25 @@ SYMMETRY_ARGS = [
     ("X0^3+z123456*X1^3+X2^3",),
 ]
 
+# One call per row of the exit-code table in cli.main, and the audit's text
+# and record outputs.
+REFUSALS = [
+    ["analyze", "--skip-smoothness", "--poly", "X0*X1*X2+X3^3",
+     "--aut", "diag(z3,z3^2,1,1)"],
+    ["analyze", "--poly", "X0^3+X1^2+X2^3+X3^3", "--aut", "diag(z3,1,1,1)"],
+    ["analyze", "--poly", "X0^3+X1^3+X2^3+X3^3", "--aut", "diag(z3,1,1,1"],
+    ["analyze", "--poly", "X0^3+X1^3+X2^3+X3^3", "--aut", "diag(0,1,1,1)"],
+    ["symmetries", "X0^3 + X1^3", "--vars", "0"],
+    ["symmetries", "X0^3 + X1^2"],
+    ["bounds", "1", "3"],
+    ["bounds", "0", "5"],
+    ["audit", "2", "4", "thm-1.1-codim1"],
+    ["audit", "7", "5", "thm-1.1-codim1"],
+    ["audit", "2", "5", "thm-1.1-codim1", "--cap", "3"],
+    ["audit", "2", "5", "thm-1.1-codim1"],
+    ["audit", "2", "5", "thm-3.14", "--json"],
+]
+
 
 def cases():
     for poly, aut in ANALYZE_PAIRS:
@@ -68,6 +87,7 @@ def cases():
             yield ["bounds", str(n), str(d)]
     for args in SYMMETRY_ARGS:
         yield ["symmetries", *args]
+    yield from REFUSALS
 
 
 def run(argv):

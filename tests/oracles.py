@@ -4,8 +4,9 @@ Each one works from the definitions by direct substitution or raw
 enumeration, without the lattice or character shortcuts of the library.
 """
 
-from itertools import product
-from math import lcm
+from functools import reduce
+from itertools import combinations, product
+from math import gcd, lcm
 
 from hyperaut.autgrp import (
     DEFAULT_ENUMERATION_CAP,
@@ -238,3 +239,95 @@ def probe_support_queries(F: HomogPoly) -> IncidenceProfile:
         partners.append(frozenset(near))
     missing = tuple(i for i in range(v) if on_x[i] and not partners[i])
     return IncidenceProfile(tuple(on_x), tuple(partners), missing)
+
+
+# -- integer matrices ---------------------------------------------------------------
+
+
+def _int_det(mat) -> int:
+    """Determinant by cofactor expansion along the first row."""
+    if not mat:
+        return 1
+    return sum(
+        (-1) ** j * x * _int_det([row[:j] + row[j + 1:] for row in mat[1:]])
+        for j, x in enumerate(mat[0]) if x
+    )
+
+
+def minors_gcd(rows, k: int) -> int:
+    """gcd of all k x k minors of an integer matrix, 0 when they all vanish."""
+    g = 0
+    for rs in combinations(range(len(rows)), k):
+        for cs in combinations(range(len(rows[0])), k):
+            g = gcd(g, _int_det([[rows[r][c] for c in cs] for r in rs]))
+    return g
+
+
+# -- the order lists, each written out in full -----------------------------------
+
+
+def literal_badr_bars(d: int) -> frozenset[int]:
+    return frozenset({(d - 1) * d, (d - 1) ** 2, (d - 2) * d, d * d - 3 * d + 3})
+
+
+def literal_theorem11(n: int, d: int, codim: int) -> frozenset[int]:
+    if codim == 1:
+        return frozenset({d, d - 1, d - 2})
+    if n >= 4:
+        return frozenset({(d - 1) * d, (d - 1) ** 2, (d - 2) * d})
+    if n == 3:
+        return frozenset(
+            {(d - 1) * d, (d - 1) ** 2, (d - 2) * d, d * d - 3 * d + 3, (d - 2) * (d - 1)}
+        )
+    q = d * d - 3 * d + 3
+    return frozenset(
+        {(d - 1) ** 2 * d, (d - 1) ** 3, q * d, q * (d - 1),
+         (d - 2) * (d - 1) * d, (d - 2) * (d - 1) ** 2, (d - 2) * (d * d - 2 * d + 2)}
+    )
+
+
+def literal_type_level_claims(normal_type: str, n: int, d: int):
+    """(value, requires_n) pairs of each type's list, in the listed order."""
+    q = d * d - 3 * d + 3
+    product3 = [((d - 1) * d, None), ((d - 1) ** 2, None), ((d - 2) * d, None)]
+    if normal_type == "I":
+        return ((d, None), (d - 1, None))
+    if normal_type == "II":
+        return ((d, None), (d - 1, None), (d - 2, 2))
+    if normal_type == "III":
+        return tuple(product3)
+    if normal_type == "IV":
+        return () if n > 4 else ((d - 1, None), (d - 2, 4))
+    if normal_type == "V":
+        if n == 2:
+            return tuple(product3)
+        if n == 3:
+            return tuple(product3 + [(q, None), ((d - 2) * (d - 1), None)])
+        return ()
+    if normal_type == "VI" and n == 2:
+        return (
+            ((d - 1) ** 2 * d, None), ((d - 1) ** 3, None), (q * d, None),
+            (q * (d - 1), None), ((d - 2) * (d - 1) * d, None),
+            ((d - 2) * (d - 1) ** 2, None), ((d - 2) * (d * d - 2 * d + 2), None),
+        )
+    return ()
+
+
+def subset_zheng_integers(n: int, d: int) -> frozenset[int]:
+    """The global order bounds by running over every subset of the parts 1..n+1."""
+    def chain(a: int) -> int:
+        return abs(1 - (1 - d) ** a)
+
+    out = {chain(n + 2) // d, (d - 1) ** (n + 1)}
+    out.update(chain(a) for a in range(1, n + 2))
+    heads = range(1, n + 2)
+    for t in range(2, n + 3):
+        for combo in combinations(heads, t):
+            if sum(combo) <= n + 2:
+                out.add(reduce(lcm, (chain(a) for a in combo)))
+    for t in range(1, n + 3):
+        for combo in combinations(heads, t):
+            s = sum(combo)
+            for b in range(2, n + 3 - s):
+                out.add(reduce(lcm, (chain(a) for a in combo), (d - 1) ** (b - 1)))
+    return frozenset(out)

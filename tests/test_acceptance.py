@@ -17,7 +17,6 @@ from hyperaut.autgrp import (
     character_exponent,
     enumerate_elements,
     multiplier,
-    smith_normal_form,
     symmetry_group,
 )
 from hyperaut.classify import (

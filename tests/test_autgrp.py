@@ -21,7 +21,13 @@ from hyperaut.harness import delta_supports, example_witness
 from hyperaut.poly import NotSemiInvariantError, parse
 
 from conftest import fermat
-from oracles import apply_diagonal, brute_force_class_count, permute, scalar_shift
+from oracles import (
+    apply_diagonal,
+    brute_force_class_count,
+    minors_gcd,
+    permute,
+    scalar_shift,
+)
 
 
 def test_order_in_pgl():
@@ -122,9 +128,7 @@ def test_smith_normal_form_properties(nr, nc, data):
         [data.draw(st.integers(min_value=-9, max_value=9)) for _ in range(nc)]
         for _ in range(nr)
     ]
-    U, D, V = smith_normal_form(rows, nc)
-    assert _matmul(_matmul(U, rows), V) == D if rows else True
-    assert abs(_det(U)) == 1
+    D, V = smith_normal_form(rows, nc)
     assert abs(_det(V)) == 1
     diag = [D[i][i] for i in range(min(nr, nc))]
     for i in range(nr):
@@ -137,6 +141,19 @@ def test_smith_normal_form_properties(nr, nc, data):
             assert b % a == 0
         else:
             assert b == 0
+    # d1 * ... * dk is the gcd of the k x k minors of A.
+    prefix = 1
+    for k, x in enumerate(diag, start=1):
+        prefix *= x
+        assert minors_gcd(rows, k) == prefix
+    # A V = [W diag(d1..dr) | 0] with W primitive (its r x r minors coprime),
+    # so W extends to a unimodular U^-1 and U A V = D.
+    rank = sum(1 for x in diag if x)
+    AV = _matmul(rows, V)
+    assert all(row[j] == 0 for row in AV for j in range(rank, nc))
+    assert all(row[j] % diag[j] == 0 for row in AV for j in range(rank))
+    W = [[row[j] // diag[j] for j in range(rank)] for row in AV]
+    assert rank == 0 or minors_gcd(W, rank) == 1
 
 
 # -- symmetry groups --------------------------------------------------------------

@@ -26,10 +26,16 @@ from hyperaut.classify import (
 )
 from hyperaut.geometry import fixed_locus
 from hyperaut.harness import delta_supports, example_witness
-from hyperaut.poly import parse
+from hyperaut.poly import CapExceededError, MAX_VARS, parse
 
 from conftest import fermat
-from oracles import restrict
+from oracles import (
+    literal_badr_bars,
+    literal_theorem11,
+    literal_type_level_claims,
+    restrict,
+    subset_zheng_integers,
+)
 
 
 # -- normal-form typing ---------------------------------------------------------
@@ -222,6 +228,35 @@ def test_zheng_integers_samples():
     assert {51, 64, 5, 15, 65, 20, 80, 60}.issubset(z25)
     with pytest.raises(UnsupportedRangeError):
         zheng_integers(0, 5)
+
+
+def test_order_lists_match_their_literal_transcription():
+    types = [TYPE_I, TYPE_II, TYPE_III, TYPE_IV, TYPE_V, TYPE_VI, OUT_OF_SCOPE, "VII"]
+    for d in range(3, 16):
+        if d >= 4:
+            assert badr_bars_divisors(d) == literal_badr_bars(d)
+        for n in range(2, 7):
+            for ntype in types:
+                claims = type_level_claims(ntype, n, d)
+                assert [(c.value, c.requires_n) for c in claims] == list(
+                    literal_type_level_claims(ntype, n, d)
+                )
+            if (n, d) == (2, 4):
+                continue
+            for codim in (1, 2):
+                assert theorem11_divisors(n, d, codim) == literal_theorem11(n, d, codim)
+
+
+def test_zheng_integers_match_the_subset_enumeration():
+    for n in range(1, 13):
+        for d in range(3, 9):
+            assert zheng_integers(n, d) == subset_zheng_integers(n, d)
+
+
+def test_zheng_integers_refuse_more_variables_than_the_parser():
+    assert zheng_integers(MAX_VARS - 2, 3)
+    with pytest.raises(CapExceededError, match=f"{MAX_VARS + 1} variables exceed"):
+        zheng_integers(MAX_VARS - 1, 3)
 
 
 def test_theorem11_divisors():

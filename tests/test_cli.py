@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperaut import cli
 from hyperaut.autgrp import parse_diag
 from hyperaut.cli import main
 from hyperaut.cyclo import _reduced_powers, root_of_unity
+from hyperaut.harness import AuditReport, Violation
 from hyperaut.poly import (
+    COST_BUDGET,
     MAX_DEGREE,
     MAX_ROOT_LEVEL,
     MAX_TERMS,
@@ -256,3 +259,78 @@ def test_audit_json(capsys):
     assert payload["violations"] == []
     assert payload["records"]
     assert all(rec["passed"] for rec in payload["records"])
+
+
+def test_exit_code_table_names_no_catch_all():
+    assert ValueError not in cli.EXIT_CODES and Exception not in cli.EXIT_CODES
+    assert set(cli.EXIT_CODES.values()) == {2, 3, 4}
+
+
+def test_a_plain_value_error_propagates_out_of_main(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(cli, "audit_theorem", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["audit", "2", "5", "thm-1.1-codim1"])
+    monkeypatch.setattr(cli, "symmetry_group", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["symmetries", "X0^3+X1^3+X2^3"])
+
+
+VIOLATION_REPORT = AuditReport(
+    n=2, d=5, claim="thm-1.1-codim1", supports_total=1, supports_smooth=1,
+    cases_examined=1,
+    violations=(Violation("loop", 20, (0, 4, 1, 0), 20, 1,
+                          "order 20 divides none of 5, 4, 3 (n=2)"),),
+    max_order_by_type={"III": (20, "loop", (0, 4, 1, 0))},
+)
+
+
+def test_audit_reports_a_violation_with_exit_code_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "audit_theorem", lambda *args, **kwargs: VIOLATION_REPORT)
+    code, out, err = run(capsys, "audit", "2", "5", "thm-1.1-codim1")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[4:] == [
+        "violations: 1",
+        "  VIOLATION loop exps=(0, 4, 1, 0) order=20: order 20 divides none of 5, 4, 3 (n=2)",
+        "max order, type III: 20 (loop, exps=(0, 4, 1, 0))",
+    ]
+    code, out, err = run(capsys, "audit", "2", "5", "thm-1.1-codim1", "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["violations"] == [{
+        "codim": 1, "detail": "order 20 divides none of 5, 4, 3 (n=2)",
+        "exps": [0, 4, 1, 0], "level": 20, "order": 20, "support": "loop",
+    }]
+
+
+def test_analyze_applies_an_entry_cap_of_zero(capsys):
+    argv = ["analyze", "--poly", "X0^3+X1^3+X2^3+X3^3", "--aut", "diag(z3,1,1,1)"]
+    for cap in ("0", "1"):
+        code, out, _ = run(capsys, *argv, "--cap", cap)
+        assert code == 0
+        assert "smoothness: inconclusive" in out
+    code, out, _ = run(capsys, *argv)
+    assert "smoothness: smooth" in out
+
+
+def test_bounds_answer_up_to_the_variable_cap_and_refuse_beyond(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "bounds", str(MAX_VARS - 2), "3")
+    assert code == 0 and "global order bounds" in out
+    assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bounds", str(MAX_VARS - 1), "3")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (4, "")
+    assert err == f"error: {MAX_VARS + 1} variables exceed the cap of {MAX_VARS}\n"
+
+
+@pytest.mark.parametrize("power", [64, 256])
+def test_coefficient_work_above_the_budget_exits_with_code_4(capsys, power):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", "--poly", f"(X0+z2039*X1)^{power}",
+                         "--aut", "diag(1,1)")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (4, "")
+    assert f"exceeds the budget of {COST_BUDGET}" in err

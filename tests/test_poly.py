@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hyperaut.autgrp import DiagAut, multiplier, parse_diag
 from hyperaut.cyclo import rational, root_of_unity
 from hyperaut.poly import (
+    COST_BUDGET,
     MAX_DEGREE,
     MAX_ROOT_LEVEL,
     MAX_TERMS,
@@ -89,6 +90,45 @@ def test_parse_admits_inputs_at_the_caps():
         MAX_ROOT_LEVEL, MAX_ROOT_LEVEL - 1
     )
     assert parse_scalar("(1+z3)^-7") * parse_scalar("(1+z3)^7") == 1
+
+
+@pytest.mark.parametrize("power", [16, 64, 256])
+def test_parse_refuses_coefficient_work_above_the_budget(power):
+    root_of_unity(2039)  # the level's table is built once per process, about 0.4 s
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match=f"exceeds the budget of {COST_BUDGET}"):
+        parse(f"(X0+z2039*X1)^{power}", 2)
+    assert time.perf_counter() - start < 1
+
+
+def test_parse_charges_dense_products_by_the_size_of_their_coefficients():
+    # Each inverse has dense coordinates of about 2,000 bits; their product
+    # would take seconds, and is refused before it is made.
+    root_of_unity(2039)
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match=f"exceeds the budget of {COST_BUDGET}"):
+        parse("(2+z2039)^-1 * (3+z2039)^-1 * X0", 1)
+    assert time.perf_counter() - start < 2
+
+
+def test_division_by_a_scalar_inverts_it_once():
+    root_of_unity(2039)
+    square = "(X0+X1+X2+X3+X4+X5+X6+X7)^2"
+    start = time.perf_counter()
+    quotient = parse(f"{square}/(1+z2039)", 8)
+    assert time.perf_counter() - start < 0.5
+    assert len(quotient.terms) == 36
+    assert quotient * (1 + root_of_unity(2039)) == parse(square, 8)
+
+
+def test_scalar_powers_match_repeated_products():
+    for text, base, k in [("(2+z12^5)^7", 2 + root_of_unity(12, 5), 7),
+                          ("(1-z5)^-3", 1 - root_of_unity(5), -3),
+                          ("(3/4)^0", rational(3) / 4, 0)]:
+        value = rational(1)
+        for _ in range(abs(k)):
+            value = value * base
+        assert parse_scalar(text) == (value if k >= 0 else 1 / value)
 
 
 def test_str_round_trip():
