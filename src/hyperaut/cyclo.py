@@ -276,12 +276,13 @@ class CycloNum:
             return self.inverse() ** (-k)
         result = CycloNum.from_rational(1).embed(self.level)
         base = self
-        while k:
+        while True:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         try:

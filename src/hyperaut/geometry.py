@@ -14,6 +14,20 @@ one that decided:
   common root on the line, a singular point (without naming it).  This
   catches the Kreuzer-Skarke singularities of delta polynomials, where some
   vertex is the image of two others.
+- The component split (Thom-Sebastiani) chooses what the rank test sees.
+  Join two variables when a monomial of F uses both.  If that graph has
+  several components, F = F_1 + ... + F_k in disjoint variables, and X is
+  smooth iff every F_c with two or more variables is smooth in its own
+  projective space: the partials of F vanish at a point exactly when each
+  F_c's partials vanish at its coordinates in F_c's variables, and by
+  Euler's relation F_c vanishes there too, so either a nonzero part is a
+  singular point of F_c = 0 or all parts are zero, which no point is.  A
+  one-variable part c*X_i^d has no singular point (a variable F does not
+  use was already refused by the vertex screen).  Each part gets its own
+  rank test, the certificate's `components` lists the ones that built a
+  matrix, and a part's singular or inconclusive certificate is F's answer,
+  its reason prefixed by the part's variables.  A connected F goes to the
+  rank test whole.
 - "macaulay_rank" decides both ways.  It checks that the Jacobian ideal
   contains every form of degree e = (n+2)(d-2)+1: for a smooth hypersurface
   the partials are a regular sequence whose Artinian quotient has socle
@@ -50,10 +64,12 @@ from its slices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import compress
 from math import comb, isqrt, lcm
+from operator import add
 
 from .autgrp import CapExceededError, DiagAut, character
 from .cyclo import ZERO, CycloNum, _frac_poly_divmod
@@ -75,6 +91,9 @@ class SmoothnessCertificate:
     rank: int | None = None
     target_rank: int | None = None
     path: str | None = None            # "rational" | "modular" | "cyclotomic"
+    # (indices, path, rank, target_rank) of each component whose rank test
+    # built a matrix, when F was split into components; empty otherwise.
+    components: tuple[tuple[tuple[int, ...], str, int, int], ...] = ()
 
     @property
     def is_smooth(self) -> bool:
@@ -90,7 +109,8 @@ def smoothness(F: HomogPoly, entry_cap: int = DEFAULT_ENTRY_CAP) -> SmoothnessCe
     """Exact smoothness certificate for the hypersurface F = 0.
 
     The vertex and line screens can only prove *singular*; what they miss
-    goes to the rank test (see the module docstring).
+    goes to the rank test, one connected component of the support at a time
+    (see the module docstring).
     """
     if F.is_zero():
         raise ValueError("the zero polynomial does not define a hypersurface")
@@ -103,7 +123,7 @@ def smoothness(F: HomogPoly, entry_cap: int = DEFAULT_ENTRY_CAP) -> SmoothnessCe
             witness=point,
             reason=f"all partials vanish at the coordinate point P{i}",
         )
-    return _line_screen(F) or _macaulay_certificate(F, entry_cap)
+    return _line_screen(F) or _split_certificate(F, entry_cap)
 
 
 def _line_screen(F: HomogPoly) -> SmoothnessCertificate | None:
@@ -159,6 +179,63 @@ def _line_gcd_degree(forms, j: int, k: int, rational_coeffs: bool) -> int | None
     return None if gcd is None else low + high + len(gcd) - 1
 
 
+def _components(F: HomogPoly) -> list[tuple[int, ...]]:
+    """The variables of F grouped by shared monomials, by least index.
+
+    One union-find pass over the terms; a variable F does not use is a
+    component of its own.
+    """
+    parent = list(range(F.num_vars))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for mon in F.terms:
+        used = [i for i, e in enumerate(mon) if e]
+        for i in used[1:]:
+            a, b = sorted((root(used[0]), root(i)))
+            parent[b] = a
+    groups: dict[int, list[int]] = {}
+    for i in range(F.num_vars):
+        groups.setdefault(root(i), []).append(i)
+    return [tuple(g) for g in groups.values()]
+
+
+def _split_certificate(F: HomogPoly, entry_cap: int) -> SmoothnessCertificate:
+    """The rank test on each connected component of F's support.
+
+    A connected F, or one of degree below 2, gets the rank test whole.
+    Otherwise each component with two or more variables is tested in its
+    own variables; one-variable components are smooth.  Every variable must
+    occur in F, which the vertex screen ensures (see the module docstring).
+    """
+    components = _components(F)
+    if F.degree < 2 or len(components) == 1:
+        return _macaulay_certificate(F, entry_cap)
+    built = []
+    undecided = None
+    for indices, piece in zip(components, _eigen_pieces(F, components)):
+        if len(indices) == 1:
+            continue
+        part = HomogPoly(len(indices), F.degree, {
+            tuple(mon[i] for i in indices): c for mon, c in piece.items()
+        })
+        cert = _macaulay_certificate(part, entry_cap)
+        if cert.is_smooth:
+            built.append((indices, cert.path, cert.rank, cert.target_rank))
+            continue
+        names = ", ".join(f"X{i}" for i in indices)
+        cert = replace(cert, reason=f"on {names}: {cert.reason}")
+        if cert.verdict == "singular":
+            return cert
+        undecided = undecided or cert
+    return undecided or SmoothnessCertificate(
+        verdict="smooth", method="macaulay_rank", components=tuple(built),
+    )
+
+
 def _macaulay_certificate(F: HomogPoly, entry_cap: int) -> SmoothnessCertificate:
     if F.degree < 2:
         return SmoothnessCertificate(
@@ -173,12 +250,13 @@ def _macaulay_certificate(F: HomogPoly, entry_cap: int) -> SmoothnessCertificate
         )
     fill_cap = max(16 * entry_cap, 10 ** 6)
     rational_coeffs = all(c.is_rational() for p in partials for c in p.terms.values())
+    columns = _macaulay_columns(partials, gmons)
     path = "modular"
     try:
-        rank = _macaulay_rank(partials, gmons, target, path, fill_cap)
+        rank = _macaulay_rank(partials, columns, target, path, fill_cap)
         if rank != target:
             path = "rational" if rational_coeffs else "cyclotomic"
-            rank = _macaulay_rank(partials, gmons, target, path, fill_cap)
+            rank = _macaulay_rank(partials, columns, target, path, fill_cap)
     except CapExceededError as exc:
         return SmoothnessCertificate(
             verdict="inconclusive", method="macaulay_rank", reason=str(exc),
@@ -215,14 +293,25 @@ def _macaulay_system(F: HomogPoly, entry_cap: int = DEFAULT_ENTRY_CAP):
     return partials, monomials_of_degree(v, e - (d - 1)), e, comb(e + v - 1, v - 1)
 
 
-def _macaulay_rank(partials, gmons, target: int, path: str, fill_cap: int) -> int | None:
+def _macaulay_columns(partials, gmons) -> list[list[Monomial]]:
+    """The column keys of the Macaulay rows: for each partial, its monomials
+    shifted by each multiplier g in gmons, one run of keys per g.
+
+    They are the same on every coefficient path, so a certificate builds
+    them once and each path only converts the partials' coefficients.
+    """
+    return [[tuple(map(add, g, m)) for g in gmons for m in p.terms] for p in partials]
+
+
+def _macaulay_rank(partials, columns, target: int, path: str, fill_cap: int) -> int | None:
     """Rank of the Macaulay matrix, stopping at target, along one coefficient path.
 
     "rational" reads every coefficient as a Fraction, "cyclotomic" keeps the
     CycloNum values, and "modular" maps them into F_p (see _modular_map).
     The modular rank is a lower bound for the exact one; it is None when the
     map does not apply or the elimination hits fill_cap, so a caller can only
-    take a full modular rank as an answer.
+    take a full modular rank as an answer.  columns holds the rows' keys,
+    from _macaulay_columns.
     """
     if path == "rational":
         prime, convert = None, lambda c: c.coeffs[0]
@@ -233,15 +322,17 @@ def _macaulay_rank(partials, gmons, target: int, path: str, fill_cap: int) -> in
             [c for p in partials for c in p.terms.values()]
         )
     rows: list[dict[Monomial, object]] = []
-    for p in partials:
-        items = [(m, convert(c)) for m, c in p.terms.items()]
-        if any(c is None for _, c in items):
+    for p, keys in zip(partials, columns):
+        coeffs = [convert(c) for c in p.terms.values()]
+        if any(c is None for c in coeffs):
             return None
-        items = [(m, c) for m, c in items if c]
-        for g in gmons:
-            rows.append(
-                {tuple(a + b for a, b in zip(g, m)): c for m, c in items}
-            )
+        nonzero = [bool(c) for c in coeffs]
+        coeffs = list(compress(coeffs, nonzero))
+        k = len(nonzero)
+        rows.extend(
+            dict(zip(compress(keys[i:i + k], nonzero), coeffs))
+            for i in range(0, len(keys), k)
+        )
     try:
         return _sparse_rank(rows, stop_at=target, fill_cap=fill_cap, prime=prime)
     except CapExceededError:

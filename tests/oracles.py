@@ -4,6 +4,7 @@ Each one works from the definitions by direct substitution or raw
 enumeration, without the lattice or character shortcuts of the library.
 """
 
+from collections import deque
 from functools import reduce
 from itertools import combinations, product
 from math import gcd, lcm
@@ -98,6 +99,34 @@ def permute_variables(F: HomogPoly, perm) -> HomogPoly:
         for mon, c in F.terms.items()
     }
     return HomogPoly(F.num_vars, F.degree, terms)
+
+
+def support_components(F: HomogPoly) -> list[tuple[int, ...]]:
+    """The connected components of the graph on F's variables where two
+    variables are adjacent when some monomial of F uses both, by
+    breadth-first search; each component sorted, listed by least index.
+    """
+    adjacent = [set() for _ in range(F.num_vars)]
+    for mon in F.terms:
+        used = {i for i, e in enumerate(mon) if e}
+        for i in used:
+            adjacent[i] |= used
+    seen: set[int] = set()
+    components = []
+    for start in range(F.num_vars):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue = deque([start])
+        found = []
+        while queue:
+            i = queue.popleft()
+            found.append(i)
+            for j in adjacent[i] - seen:
+                seen.add(j)
+                queue.append(j)
+        components.append(tuple(sorted(found)))
+    return components
 
 
 def scalar_shift(g: DiagAut, c: int) -> DiagAut:

@@ -12,6 +12,7 @@ from hyperaut import cli
 from hyperaut.autgrp import parse_diag
 from hyperaut.cli import main
 from hyperaut.cyclo import _reduced_powers, root_of_unity
+from hyperaut.geometry import DEFAULT_ENTRY_CAP, _macaulay_certificate
 from hyperaut.harness import AuditReport, Violation
 from hyperaut.poly import (
     COST_BUDGET,
@@ -305,13 +306,31 @@ def test_audit_reports_a_violation_with_exit_code_1(capsys, monkeypatch):
 
 
 def test_analyze_applies_an_entry_cap_of_zero(capsys):
-    argv = ["analyze", "--poly", "X0^3+X1^3+X2^3+X3^3", "--aut", "diag(z3,1,1,1)"]
+    # A loop: its support is connected, so the rank test builds one matrix.
+    argv = ["analyze", "--poly", "X0^2*X1+X1^2*X2+X2^2*X3+X3^2*X0",
+            "--aut", "diag(z5^4,z5,z5^2,1)"]
     for cap in ("0", "1"):
         code, out, _ = run(capsys, *argv, "--cap", cap)
         assert code == 0
         assert "smoothness: inconclusive" in out
     code, out, _ = run(capsys, *argv)
     assert "smoothness: smooth" in out
+
+
+def test_analyze_proves_a_sum_of_disjoint_forms_smooth_past_the_entry_cap(capsys):
+    # The whole Macaulay matrix of this Fermat surface is over the default
+    # entry cap, which made the answer inconclusive; its parts X_i^60 are
+    # one-variable forms, smooth without a matrix.
+    poly = "X0^60+X1^60+X2^60+X3^60"
+    whole = _macaulay_certificate(parse(poly, 4), DEFAULT_ENTRY_CAP)
+    assert whole.verdict == "inconclusive"
+    code, out, _ = run(capsys, "analyze", "--poly", poly, "--aut", "diag(z60,1,1,1)", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["smoothness"] == {
+        "verdict": "smooth", "method": "macaulay_rank", "witness": None, "reason": None,
+    }
+    assert payload["rationality"]["status"] == "rational-iso-pn"
 
 
 def test_bounds_answer_up_to_the_variable_cap_and_refuse_beyond(capsys):

@@ -174,3 +174,26 @@ def test_pow_matches_repeated_product(x):
     for k in range(4):
         assert x ** k == acc
         acc = acc * x
+
+
+def test_pow_squares_only_while_bits_remain(monkeypatch):
+    # Binary powering: k.bit_length() - 1 squarings plus one product per set
+    # bit, so x ** 1 costs one product and no squaring.
+    calls = []
+    mul = CycloNum.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(CycloNum, "__mul__", counted)
+    x = root_of_unity(12) + Fraction(1, 3)
+    for k in (1, 2, 3, 5, 8, 13, 64, 100):
+        calls.clear()
+        acc = rational(1)
+        for _ in range(k):
+            acc = mul(acc, x)
+        assert x ** k == acc
+        assert len(calls) == k.bit_length() - 1 + bin(k).count("1"), k
+    calls.clear()
+    assert x ** 0 == 1 and not calls

@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperaut import geometry
@@ -15,14 +15,17 @@ from hyperaut.autgrp import (
 from hyperaut.cyclo import CycloNum, rational, root_of_unity
 from hyperaut.geometry import (
     DEFAULT_ENTRY_CAP,
+    _components,
     _distinct_binary_roots,
     _eigen_pieces,
     _line_screen,
     _macaulay_certificate,
+    _macaulay_columns,
     _macaulay_rank,
     _macaulay_system,
     _prime_with_root,
     _sparse_rank,
+    _split_certificate,
     fixed_locus,
     galois_by_theorem,
     smoothness,
@@ -37,6 +40,7 @@ from oracles import (
     permute_variables,
     projection_degree,
     restrict,
+    support_components,
     two_split_galois,
 )
 
@@ -77,22 +81,28 @@ def test_macaulay_detects_hidden_singularity():
     assert rank_cert.rank < rank_cert.target_rank
 
 
+# Loops X0^(d-1)*X1 + X1^(d-1)*X2 + ... + X3^(d-1)*X0: smooth, and with a
+# connected support, so the rank test builds one matrix for the whole F.
+LOOP_CUBIC = "X0^2*X1 + X1^2*X2 + X2^2*X3 + X3^2*X0"
+LOOP_QUINTIC = "X0^4*X1 + X1^4*X2 + X2^4*X3 + X3^4*X0"
+
+
 def test_smoothness_cap_is_honest():
-    cert = smoothness(fermat(4, 5), entry_cap=10)
+    cert = smoothness(parse(LOOP_QUINTIC, 4), entry_cap=10)
     assert cert.verdict == "inconclusive"
 
 
 def test_entry_cap_is_checked_before_enumerating_monomials():
-    # The degree-200 Fermat surface passes both screens; its Macaulay matrix
+    # The degree-200 loop surface passes both screens; its Macaulay matrix
     # is counted, not built, and refused without touching the monomial cache.
-    F = parse("X0^200 + X1^200 + X2^200 + X3^200", 4)
+    F = parse("X0^199*X1 + X1^199*X2 + X2^199*X3 + X3^199*X0", 4)
     before = monomials_of_degree.cache_info()
     cert = smoothness(F)
     assert monomials_of_degree.cache_info() == before
     assert (cert.verdict, cert.method, cert.path) == ("inconclusive", "macaulay_rank", None)
-    assert cert.reason == f"matrix would hold {4 * 35_284_690} entries, cap is {DEFAULT_ENTRY_CAP}"
+    assert cert.reason == f"matrix would hold {8 * 35_284_690} entries, cap is {DEFAULT_ENTRY_CAP}"
     # The count is the size of the matrix that would be built.
-    F = fermat(4, 5)
+    F = parse(LOOP_QUINTIC, 4)
     partials, gmons, _, target = _macaulay_system(F)
     entries = sum(len(p.terms) for p in partials) * len(gmons)
     assert target == len(monomials_of_degree(4, 13))
@@ -139,7 +149,7 @@ EXACT_PATHS = ("rational", "cyclotomic")
 
 def _rank(F, path):
     partials, gmons, _, target = _macaulay_system(F)
-    return _macaulay_rank(partials, gmons, target, path, 10 ** 7), target
+    return _macaulay_rank(partials, _macaulay_columns(partials, gmons), target, path, 10 ** 7), target
 
 
 def _ks_smooth(sigma):
@@ -186,13 +196,83 @@ def test_paths_agree_with_exact_elimination_on_cyclotomic_fixtures():
 
 
 def test_delta_grid_against_kreuzer_skarke():
-    for n, d in DELTA_GRID:
+    # The fourfold rows check the component split, not the whole-F matrix.
+    for n, d in DELTA_GRID + ((4, 4), (4, 5)):
         for support in delta_supports(n, d):
             F = support.poly()
             expected = _ks_smooth(support.sigma)
             assert smoothness(F).is_smooth == expected, support.name
-            rank, target = _rank(F, "modular")
-            assert (rank == target) == expected, support.name
+            if (n, d) in DELTA_GRID:
+                rank, target = _rank(F, "modular")
+                assert (rank == target) == expected, support.name
+
+
+# -- the component split ----------------------------------------------------------
+
+
+def _split_entries(F):
+    # The (indices, path, rank, target) a smooth split certificate should list.
+    entries = []
+    for indices in support_components(F):
+        if len(indices) > 1:
+            part = HomogPoly(len(indices), F.degree, {
+                tuple(m[i] for i in indices): c
+                for m, c in F.terms.items() if any(m[i] for i in indices)
+            })
+            cert = _macaulay_certificate(part, DEFAULT_ENTRY_CAP)
+            entries.append((indices, cert.path, cert.rank, cert.target_rank))
+    return tuple(entries)
+
+
+def test_components_match_the_bfs_oracle():
+    inputs = [support.poly() for n, d in DELTA_GRID + ((4, 4), (4, 5))
+              for support in delta_supports(n, d)]
+    inputs += [fermat(4, 3), parse(LOOP_CUBIC, 4), parse("X0^3 + X2*X3^2", 5),
+               parse("X3^2*X0 + X1^3 + X2*X4*X0 + X5^3", 6)]
+    for F in inputs:
+        assert _components(F) == support_components(F), str(F)
+
+
+def test_split_matches_the_whole_rank_test_on_delta_grid():
+    for n, d in DELTA_GRID:
+        for support in delta_supports(n, d):
+            F = support.poly()
+            whole = _macaulay_certificate(F, DEFAULT_ENTRY_CAP)
+            split = _split_certificate(F, DEFAULT_ENTRY_CAP)
+            assert split.verdict == whole.verdict, support.name
+            if len(_components(F)) == 1:
+                # A connected support gets exactly today's certificate.
+                assert split == whole, support.name
+            elif split.is_smooth:
+                assert (split.rank, split.target_rank, split.path) == (None, None, None)
+                assert split.components == _split_entries(F), support.name
+            else:
+                assert split.path in EXACT_PATHS and split.reason.startswith("on X")
+
+
+def test_split_certificate_names_the_deciding_component():
+    # A loop cubic on X0..X3 whose matrix (160 entries) is over the cap, and
+    # the singular Hesse cubic on X4..X6 (36 entries) under it: the singular
+    # part decides, although the loop comes first and is inconclusive.
+    F = parse(LOOP_CUBIC + " + X4^3 + X5^3 + X6^3 - 3*X4*X5*X6", 7)
+    assert smoothness(F).verdict == "singular"
+    cert = smoothness(F, entry_cap=100)
+    assert (cert.verdict, cert.method, cert.path) == ("singular", "macaulay_rank", "rational")
+    assert cert.reason == "on X4, X5, X6: the partial derivatives only span 12 of the 15 degree-4 forms"
+    assert (cert.rank, cert.target_rank) == (12, 15)
+    # Smooth parts: the loop is still over the cap, and its certificate is
+    # F's answer.
+    F = parse(LOOP_CUBIC + " + X4^3 + X5^2*X6 + X6^3", 7)
+    cert = smoothness(F, entry_cap=100)
+    assert (cert.verdict, cert.method) == ("inconclusive", "macaulay_rank")
+    assert cert.reason == "on X0, X1, X2, X3: matrix would hold 160 entries, cap is 100"
+    cert = smoothness(F)
+    assert (cert.verdict, cert.method, cert.reason) == ("smooth", "macaulay_rank", None)
+    assert (cert.rank, cert.target_rank, cert.path) == (None, None, None)
+    assert cert.components == (((0, 1, 2, 3), "modular", 56, 56), ((5, 6), "modular", 4, 4))
+    # One-variable parts build no matrix at all.
+    cert = smoothness(fermat(4, 5), entry_cap=0)
+    assert (cert.verdict, cert.components) == ("smooth", ())
 
 
 _LEVELS = (3, 4, 5, 7, 8, 12)
@@ -222,6 +302,75 @@ def cyclotomic_sparse_polys(draw):
         c = c * draw(st.sampled_from((1, -1, 2, -3))) + draw(st.integers(-1, 1))
         terms[mon] = c
     return HomogPoly(v, d, terms)
+
+
+@st.composite
+def disjoint_sums(draw):
+    """F_1 + ... + F_k, k = 2 or 3, in disjoint variables shuffled together.
+
+    A part in one variable is a power; in two, a random sparse form with
+    coefficients in one Q(zeta_N); in three, such a form or (in degree 3) a
+    member of the Hesse pencil X^3 + Y^3 + Z^3 + s*XYZ, singular for s = -3
+    and s = -3*z3, which the screens miss.
+    """
+    d = draw(st.sampled_from((3, 3, 4)))
+    budget = 6 if d == 3 else 4
+    count = draw(st.integers(2, 3))
+    parts = []
+    for left in range(count - 1, -1, -1):
+        v = draw(st.integers(1, min(3, budget - left - sum(p.num_vars for p in parts))))
+        level = draw(st.sampled_from(_LEVELS))
+        if v == 1:
+            parts.append(HomogPoly(1, d, {(d,): root_of_unity(level, draw(st.integers(0, level - 1)))}))
+            continue
+        if v == 3 and d == 3 and draw(st.booleans()):
+            s = draw(st.sampled_from(("-3", "-3*z3", "z3", "1+z4")))
+            parts.append(parse(f"X0^3 + X1^3 + X2^3 + ({s})*X0*X1*X2", 3))
+            continue
+        mons = set()
+        for i in range(v):
+            mon = [0] * v
+            mon[i] += d - 1
+            mon[draw(st.integers(0, v - 1))] += 1
+            mons.add(tuple(mon))
+        for _ in range(draw(st.integers(0, 2))):
+            cut = sorted(draw(st.integers(0, d)) for _ in range(v - 1))
+            bounds = [0] + cut + [d]
+            mons.add(tuple(bounds[k + 1] - bounds[k] for k in range(v)))
+        terms = {}
+        for mon in sorted(mons):
+            c = root_of_unity(level, draw(st.integers(0, level - 1)))
+            terms[mon] = c * draw(st.sampled_from((1, -1, 2))) + draw(st.integers(-1, 1))
+        parts.append(HomogPoly(v, d, terms))
+    total = sum(part.num_vars for part in parts)
+    F = HomogPoly.zero(total, d)
+    offset = 0
+    for part in parts:
+        F = F + HomogPoly(total, d, {
+            (0,) * offset + mon + (0,) * (total - offset - part.num_vars): c
+            for mon, c in part.terms.items()
+        })
+        offset += part.num_vars
+    return permute_variables(F, draw(st.permutations(range(total))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(disjoint_sums())
+@example(parse("X0^3 + X2^3 + X4^3 - 3*z3*X0*X2*X4 + z4*X1^3 + X3^2*X5 + X5^3", 6))
+@example(parse("X1^3 + X3^3 + X5^3 + z3*X1*X3*X5 + X0^3 + z5*X2^3 + X4^3", 6))
+def test_split_agrees_with_the_whole_rank_test_on_disjoint_sums(F):
+    if F.is_zero():
+        return
+    assert _components(F) == support_components(F)
+    cert = smoothness(F)
+    whole = _macaulay_certificate(F, DEFAULT_ENTRY_CAP)
+    if whole.verdict == "inconclusive":
+        return
+    assert cert.verdict == whole.verdict, str(F)
+    if not F.support_queries().missing_near_power:  # every variable occurs
+        assert _split_certificate(F, DEFAULT_ENTRY_CAP).verdict == whole.verdict, str(F)
+    if cert.verdict == "singular" and cert.method == "macaulay_rank":
+        assert cert.path in EXACT_PATHS
 
 
 @settings(max_examples=50, deadline=None)
@@ -256,7 +405,7 @@ def test_denominator_divisible_by_p_falls_back_to_exact():
 
 
 def test_rational_inputs_try_the_modular_rank_first():
-    cert = smoothness(fermat(4, 3))
+    cert = smoothness(parse(LOOP_CUBIC, 4))
     assert (cert.verdict, cert.path) == ("smooth", "modular")
     assert cert.rank == cert.target_rank
 
