@@ -15,7 +15,7 @@ from .classify import (
     theorem11_divisors,
     zheng_integers,
 )
-from .harness import audit_theorem, delta_supports, example_witness
+from .harness import audit_row, audit_theorem, delta_supports, example_witness
 
 __all__ = [
     "CycloNum", "rational", "root_of_unity",
@@ -25,5 +25,5 @@ __all__ = [
     "badr_bars_divisors", "classify_case", "divisor_claims",
     "normal_form_type", "rationality_verdict", "theorem11_divisors",
     "zheng_integers",
-    "audit_theorem", "delta_supports", "example_witness",
+    "audit_row", "audit_theorem", "delta_supports", "example_witness",
 ]

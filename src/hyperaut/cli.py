@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 the audit found violations, 2 the input was refused
 (unparseable or non-homogeneous text, not an automorphism, an unsupported
 (n, d), an infinite group), 3 the hypersurface is singular, 4 an input,
-enumeration or size cap was exceeded.  Any other error is a bug and shows a
-traceback.
+enumeration or size cap was exceeded, or the audit is partial (a support was
+skipped by the enumeration cap or left inconclusive by the smoothness
+certificate).  Any other error is a bug and shows a traceback.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .autgrp import (
@@ -265,34 +267,14 @@ def cmd_audit(args) -> int:
             "inconclusive": list(report.supports_inconclusive),
         },
         "cases_examined": report.cases_examined,
-        "violations": [
-            {
-                "support": v.support,
-                "level": v.level,
-                "exps": list(v.exps),
-                "order": v.order,
-                "codim": v.codim,
-                "detail": v.detail,
-            }
-            for v in report.violations
-        ],
+        "violations": [asdict(v) for v in report.violations],
         "max_order_by_type": {
             k: {"order": v[0], "support": v[1], "exps": list(v[2])}
             for k, v in report.max_order_by_type.items()
         },
         "partial": report.partial,
         "records": [
-            {
-                "support": r.support,
-                "level": r.level,
-                "exps": list(r.exps),
-                "order": r.order,
-                "codim": r.codim,
-                "passed": r.passed,
-                "checks": [
-                    {"scope": s, "claims": c, "ok": ok} for s, c, ok in r.checks
-                ],
-            }
+            {**asdict(r), "checks": [{"scope": s, "claims": c, "ok": ok} for s, c, ok in r.checks]}
             for r in report.records
         ],
     }
@@ -309,8 +291,10 @@ def cmd_audit(args) -> int:
         lines.append(f"  VIOLATION {v.support} exps={v.exps} order={v.order}: {v.detail}")
     for k, v in report.max_order_by_type.items():
         lines.append(f"max order, type {k}: {v[0]} ({v[1]}, exps={v[2]})")
-    if report.partial:
+    if report.supports_capped:
         lines.append("PARTIAL: some supports were skipped by the enumeration cap")
+    if report.supports_inconclusive:
+        lines.append("PARTIAL: supports with an inconclusive smoothness certificate were skipped")
     _emit(payload, args.json, lines)
     if report.partial:
         return EXIT_CAP

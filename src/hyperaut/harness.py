@@ -162,134 +162,145 @@ class AuditReport:
     supports_smooth: int = 0
     supports_singular: tuple[str, ...] = ()
     supports_inconclusive: tuple[str, ...] = ()
+    supports_capped: tuple[str, ...] = ()      # skipped by the enumeration cap
     cases_examined: int = 0
     violations: tuple[Violation, ...] = ()
     max_order_by_type: dict = field(default_factory=dict)
     records: tuple[CaseRecord, ...] = ()
-    partial: bool = False
+    partial: bool = False                      # a support was capped or inconclusive
 
     @property
     def ok(self) -> bool:
         return not self.violations and not self.partial
 
 
-def audit_theorem(
-    n: int,
-    d: int,
-    claim: str,
-    enum_cap: int = DEFAULT_ENUMERATION_CAP,
-    keep_records: bool = True,
-) -> AuditReport:
-    """Sweep all smooth delta supports and check one divisor claim family.
+@dataclass
+class _ClaimAudit:
+    """One claim id's rule and its running tally over a sweep.
 
-    claim is one of thm-1.1-codim1, thm-1.1-codim2 (filter by fixed-locus
-    codimension, check the aggregate divisor list plus every component's
-    branch claim) or thm-3.3 ... thm-3.21 (filter by normal-form type).
+    A case (a smooth support and a non-identity g) is selected when its
+    fixed-locus codimension is in `codims` and, unless the claim has a
+    `headline` list (theorem 1.1's, checked on every case it selects), it
+    has a component instance of a type in `types`.  Its checks are the
+    headline, then the branch claims of those instances, each as (scope,
+    listing, claims).
+    """
+
+    claim: str
+    n: int
+    codims: frozenset[int]
+    types: frozenset[str]
+    headline: tuple[tuple[str, str, tuple], ...]
+    keep_records: bool
+    cases: int = 0
+    violations: list = field(default_factory=list)
+    records: list = field(default_factory=list)
+    max_orders: dict = field(default_factory=dict)
+
+    @classmethod
+    def for_claim(cls, claim: str, n: int, d: int, keep_records: bool) -> "_ClaimAudit":
+        if claim not in AUDIT_CLAIM_IDS:
+            raise ValueError(f"unknown claim id {claim!r}; use one of {AUDIT_CLAIM_IDS}")
+        if claim in TYPE_CLAIM_IDS:
+            # Every instance comes from a slice of dimension n-2 .. n-1, so
+            # its case has codim 1 or 2 (codim 0 is impossible on smooth X).
+            types = frozenset({TYPE_CLAIM_IDS[claim]})
+            return cls(claim, n, frozenset({1, 2}), types, (), keep_records)
+        codim = int(claim[-1])
+        claims = theorem11_claims(n, d, codim)
+        listing = (
+            "d, d-1, d-2 with side condition" if codim == 1
+            else ", ".join(str(c) for c in claims)
+        )
+        types = frozenset(TYPE_CLAIM_IDS.values())
+        return cls(claim, n, frozenset({codim}), types, ((claim, listing, claims),),
+                   keep_records)
+
+    def take(self, support: str, g: DiagAut, order: int, codim: int, instances) -> None:
+        picked = [inst for inst in instances if inst.normal_type in self.types]
+        if codim not in self.codims or not (self.headline or picked):
+            return
+        self.cases += 1
+        lists = list(self.headline) + [
+            (f"type-{inst.normal_type}",
+             ", ".join(str(c) for c in inst.claims) or "(none)", inst.claims)
+            for inst in picked
+        ]
+        checks = tuple(
+            (scope, listing, claims_satisfied(claims, order, self.n))
+            for scope, listing, claims in lists
+        )
+        for inst in picked:
+            prev = self.max_orders.get(inst.normal_type)
+            if prev is None or order > prev[0]:
+                self.max_orders[inst.normal_type] = (order, support, g.exps)
+        self.violations.extend(
+            Violation(support, g.level, g.exps, order, codim,
+                      f"{scope}: order {order} divides none of [{listing}]")
+            for scope, listing, ok in checks if not ok
+        )
+        if self.keep_records:
+            passed = all(ok for _, _, ok in checks)
+            self.records.append(CaseRecord(support, g.level, g.exps, order, codim, checks, passed))
+
+
+def audit_row(n: int, d: int, claims, enum_cap: int = DEFAULT_ENUMERATION_CAP,
+              keep_records: bool = True) -> tuple[AuditReport, ...]:
+    """Sweep the delta supports of one (n, d) once; one report per claim id.
+
+    Each claim is one of thm-1.1-codim1, thm-1.1-codim2 (the cases of that
+    fixed-locus codimension, checked against the aggregate divisor list and
+    every component's branch claim) or thm-3.3 ... thm-3.21 (the cases with
+    a component of that normal-form type, checked against its branch
+    claims).  Smoothness, the group, the fixed loci and the classification
+    are computed once and shared; only the elements some claim can select
+    are classified.  A support left inconclusive by the smoothness
+    certificate or skipped by the enumeration cap makes every report partial.
     """
     check_range(n, d)
-    if claim not in AUDIT_CLAIM_IDS:
-        raise ValueError(f"unknown claim id {claim!r}; use one of {AUDIT_CLAIM_IDS}")
-    type_filter = TYPE_CLAIM_IDS.get(claim)
-    codim_filter = {"thm-1.1-codim1": 1, "thm-1.1-codim2": 2}.get(claim)
-    if codim_filter is not None:
-        t11_claims = theorem11_claims(n, d, codim_filter)
-        t11_listing = (
-            "d, d-1, d-2 with side condition"
-            if codim_filter == 1
-            else ", ".join(str(c) for c in t11_claims)
-        )
-
-    singular = []
-    inconclusive = []
-    violations = []
-    records = []
-    max_orders: dict[str, tuple[int, str, tuple[int, ...]]] = {}
-    cases = 0
-    partial = False
+    audits = [_ClaimAudit.for_claim(claim, n, d, keep_records) for claim in claims]
+    codims = frozenset().union(*(audit.codims for audit in audits))
 
     supports = delta_supports(n, d)
-    smooth_count = 0
+    by_verdict: dict[str, list[str]] = {"smooth": [], "singular": [], "inconclusive": []}
+    capped = []
     for support in supports:
         F = support.poly()
-        cert = smoothness(F)
-        if cert.verdict == "singular":
-            singular.append(support.name)
+        verdict = smoothness(F).verdict
+        by_verdict[verdict].append(support.name)
+        if verdict != "smooth":
             continue
-        if cert.verdict == "inconclusive":
-            inconclusive.append(support.name)
-            continue
-        smooth_count += 1
         group = symmetry_group(support.monomials(), support.num_vars)
         try:
             elements = list(enumerate_elements(group, cap=enum_cap))
         except CapExceededError:
-            partial = True
+            capped.append(support.name)
             continue
         for g in elements:
             if g.is_identity():
                 continue
             fix = fixed_locus(F, g)
-            if codim_filter is not None and fix.codim_in_x != codim_filter:
+            if fix.codim_in_x not in codims:
                 continue
             order = g.order_in_pgl()
             instances = classify_instances(F, g, fix, n, d)
-            if type_filter is not None and not any(
-                inst.normal_type == type_filter for inst in instances
-            ):
-                continue
-            cases += 1
-            checks = []
-            if codim_filter is not None:
-                ok = claims_satisfied(t11_claims, order, n)
-                checks.append((claim, t11_listing, ok))
-            for inst in instances:
-                if type_filter is not None and inst.normal_type != type_filter:
-                    continue
-                ok = claims_satisfied(inst.claims, order, n) if inst.claims else False
-                listing = ", ".join(str(c) for c in inst.claims) or "(none)"
-                checks.append((f"type-{inst.normal_type}", listing, ok))
-                prev = max_orders.get(inst.normal_type)
-                if prev is None or order > prev[0]:
-                    max_orders[inst.normal_type] = (order, support.name, g.exps)
-            passed = all(ok for _, _, ok in checks)
-            if not passed:
-                for scope, listing, ok in checks:
-                    if not ok:
-                        violations.append(
-                            Violation(
-                                support=support.name,
-                                level=g.level,
-                                exps=g.exps,
-                                order=order,
-                                codim=fix.codim_in_x,
-                                detail=f"{scope}: order {order} divides none of [{listing}]",
-                            )
-                        )
-            if keep_records:
-                records.append(
-                    CaseRecord(
-                        support=support.name,
-                        level=g.level,
-                        exps=g.exps,
-                        order=order,
-                        codim=fix.codim_in_x,
-                        checks=tuple(checks),
-                        passed=passed,
-                    )
-                )
-    return AuditReport(
-        n=n,
-        d=d,
-        claim=claim,
-        supports_total=len(supports),
-        supports_smooth=smooth_count,
-        supports_singular=tuple(singular),
-        supports_inconclusive=tuple(inconclusive),
-        cases_examined=cases,
-        violations=tuple(violations),
-        max_order_by_type={
-            k: v for k, v in sorted(max_orders.items())
-        },
-        records=tuple(records),
-        partial=partial,
+            for audit in audits:
+                audit.take(support.name, g, order, fix.codim_in_x, instances)
+    inconclusive = tuple(by_verdict["inconclusive"])
+    row = dict(
+        n=n, d=d, supports_total=len(supports), supports_smooth=len(by_verdict["smooth"]),
+        supports_singular=tuple(by_verdict["singular"]), supports_inconclusive=inconclusive,
+        supports_capped=tuple(capped), partial=bool(inconclusive or capped),
     )
+    return tuple(
+        AuditReport(claim=audit.claim, cases_examined=audit.cases,
+                    violations=tuple(audit.violations), records=tuple(audit.records),
+                    max_order_by_type=dict(sorted(audit.max_orders.items())), **row)
+        for audit in audits
+    )
+
+
+def audit_theorem(n: int, d: int, claim: str, enum_cap: int = DEFAULT_ENUMERATION_CAP,
+                  keep_records: bool = True) -> AuditReport:
+    """audit_row for the one claim id claim."""
+    return audit_row(n, d, (claim,), enum_cap, keep_records)[0]

@@ -73,6 +73,7 @@ REFUSALS = [
     ["audit", "2", "5", "thm-1.1-codim1", "--cap", "3"],
     ["audit", "2", "5", "thm-1.1-codim1"],
     ["audit", "2", "5", "thm-3.14", "--json"],
+    ["audit", "2", "5", "thm-1.1-codim1", "--json"],
 ]
 
 

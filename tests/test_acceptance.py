@@ -27,7 +27,7 @@ from hyperaut.classify import (
 )
 from hyperaut.cyclo import rational, root_of_unity
 from hyperaut.geometry import fixed_locus, smoothness
-from hyperaut.harness import audit_theorem, delta_supports, example_witness
+from hyperaut.harness import audit_row, delta_supports, example_witness
 from hyperaut.poly import monomials_of_degree, parse
 
 from conftest import fermat
@@ -101,9 +101,10 @@ def test_order_d_times_d_minus_one_witness():
 def test_exhaustive_divisor_audits():
     """Zero violations over all smooth delta supports, both codimensions."""
     with criterion("divisor-audits", budget_seconds=600):
+        claims = ("thm-1.1-codim1", "thm-1.1-codim2")
         for n, d in ((2, 5), (2, 6), (3, 4), (3, 5)):
-            for claim in ("thm-1.1-codim1", "thm-1.1-codim2"):
-                report = audit_theorem(n, d, claim, keep_records=False)
+            for claim, report in zip(claims, audit_row(n, d, claims, keep_records=False)):
+                assert report.claim == claim
                 assert not report.partial, (n, d, claim)
                 assert report.supports_inconclusive == (), (n, d, claim)
                 assert report.violations == (), (n, d, claim, report.violations[:3])

@@ -1,18 +1,20 @@
+import contextlib
 import json
 import random
 import time
 from datetime import timedelta
+from functools import partial
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperaut import cli
-from hyperaut.autgrp import parse_diag
+from hyperaut import cli, harness
+from hyperaut.autgrp import CapExceededError, parse_diag
 from hyperaut.cli import main
 from hyperaut.cyclo import _reduced_powers, root_of_unity
-from hyperaut.geometry import DEFAULT_ENTRY_CAP, _macaulay_certificate
+from hyperaut.geometry import DEFAULT_ENTRY_CAP, _macaulay_certificate, smoothness
 from hyperaut.harness import AuditReport, Violation
 from hyperaut.poly import (
     COST_BUDGET,
@@ -83,7 +85,8 @@ def test_analyze_singular(capsys):
     ("X0^3+z1279*X1^3+z1277*X2^3+X3^3", "diag(z3, 1, 1, 1)"),
 ])
 def test_analyze_refuses_root_levels_above_the_cap(capsys, poly, aut):
-    root_of_unity(3)  # the admitted diag(z3, ...) may build its table first
+    with contextlib.suppress(CapExceededError):
+        parse_diag(aut)  # build first what an admitted diag(...) builds
     before = _reduced_powers.cache_info().misses
     code, out, err = run(capsys, "analyze", "--poly", poly, "--aut", aut)
     assert code == 4
@@ -251,6 +254,23 @@ def test_audit_exit_codes(capsys):
 
     code, _, err = run(capsys, "audit", "2", "5", "thm-1.1-codim1", "--cap", "3")
     assert code == 4
+
+
+def test_an_inconclusive_support_makes_the_audit_partial(capsys, monkeypatch):
+    # An entry cap of 200 leaves 2 of the 19 supports at 2:5 undecided.
+    monkeypatch.setattr(harness, "smoothness", partial(smoothness, entry_cap=200))
+    report = harness.audit_theorem(2, 5, "thm-1.1-codim1", keep_records=False)
+    assert len(report.supports_inconclusive) == 2
+    assert report.partial and not report.ok
+    code, out, _ = run(capsys, "audit", "2", "5", "thm-1.1-codim1")
+    assert code == 4
+    assert "2 inconclusive" in out
+    assert out.splitlines()[-1] == (
+        "PARTIAL: supports with an inconclusive smoothness certificate were skipped"
+    )
+    code, out, _ = run(capsys, "audit", "2", "5", "thm-1.1-codim1", "--json")
+    assert code == 4
+    assert json.loads(out)["partial"] is True
 
 
 def test_audit_json(capsys):

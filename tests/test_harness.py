@@ -2,10 +2,17 @@ from itertools import permutations
 
 import pytest
 
+from hyperaut import harness
 from hyperaut.autgrp import CapExceededError, DiagAut, symmetry_group
 from hyperaut.classify import theorem11_divisors
 from hyperaut.geometry import fixed_locus, smoothness
-from hyperaut.harness import audit_theorem, delta_supports, example_witness
+from hyperaut.harness import (
+    AUDIT_CLAIM_IDS,
+    audit_row,
+    audit_theorem,
+    delta_supports,
+    example_witness,
+)
 from hyperaut.poly import parse
 
 from conftest import fermat
@@ -122,9 +129,27 @@ def test_audit_determinism():
     assert a.max_order_by_type == b.max_order_by_type
 
 
+def test_one_sweep_gives_each_claim_its_single_claim_report(monkeypatch):
+    calls = []
+
+    def counted(F, *args, **kwargs):
+        calls.append(F)
+        return smoothness(F, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "smoothness", counted)
+    reports = audit_row(2, 5, AUDIT_CLAIM_IDS)
+    assert len(calls) == len(delta_supports(2, 5)) == 19
+    assert [r.claim for r in reports] == list(AUDIT_CLAIM_IDS)
+    for claim, report in zip(AUDIT_CLAIM_IDS, reports):
+        assert report == audit_row(2, 5, (claim,))[0], claim
+        assert report.cases_examined > 0, claim
+
+
 def test_audit_rejects_bad_input():
     with pytest.raises(ValueError):
         audit_theorem(2, 5, "thm-9.9")
+    with pytest.raises(ValueError):
+        audit_row(2, 5, ("thm-1.1-codim1", "thm-9.9"))
     from hyperaut.classify import UnsupportedRangeError
     with pytest.raises(UnsupportedRangeError):
         audit_theorem(2, 4, "thm-1.1-codim1")
