@@ -56,10 +56,11 @@ slices; F is split into the matching pieces in one pass over its terms.  A
 slice on a line is finite unless its piece vanishes, and its points are
 counted by the binary gcd of the line screen: the distinct roots of the
 piece f number deg f minus the degree of the gcd of its two partials, with
-Fraction arithmetic when f is rational.  The resulting FixedLocusReport is
-the one record of g's eigenspaces: normal-form typing, the branch incidence
-and the Galois criterion below all read blocks, exponents and containment
-from its slices.
+Fraction arithmetic when f is rational.  A slice depends only on F and its
+block of coordinates, so fixed_loci computes each block's slice once for all
+the elements of one F.  The resulting FixedLocusReport is the one record of
+g's eigenspaces: normal-form typing, the branch incidence and the Galois
+criterion below all read blocks, exponents and containment from its slices.
 """
 
 from __future__ import annotations
@@ -490,38 +491,44 @@ def fixed_locus(F: HomogPoly, g: DiagAut) -> FixedLocusReport:
     Line containment is decided only for full linear slices; a
     positive-dimensional slice that is a hypersurface in its eigenspace
     leaves contains_line undecided (None).
+
+    This is the one-element form of fixed_loci, which shares each block's
+    slice data among many elements of one F.
+    """
+    return _fixed_locus(F, g, {})
+
+
+def fixed_loci(F: HomogPoly, elements):
+    """Yield fixed_locus(F, g) for each g in elements, in order.
+
+    A slice's data (whether F's piece on the block vanishes, the dimension
+    and the point count) depends only on F and the block of coordinates, not
+    on g's exponent, so it is computed once per block and shared by every
+    element with that block: at most 2^(n+2) blocks, however many elements.
+    Every element is still checked for semi-invariance.
+    """
+    memo: dict[tuple[int, ...], tuple[int, bool, int, int | None]] = {}
+    for g in elements:
+        yield _fixed_locus(F, g, memo)
+
+
+def _fixed_locus(F: HomogPoly, g: DiagAut, memo: dict) -> FixedLocusReport:
+    """fixed_locus, reading and filling memo: block indices to
+    (ambient, zero, dim, count), the block's SliceInfo fields after eigen_exp.
     """
     character(F, g)
     n = F.num_vars - 2
     blocks: dict[int, list[int]] = {}
     for i, e in enumerate(g.exps):
         blocks.setdefault(e, []).append(i)
-    slices = []
-    for (exp, indices), piece in zip(blocks.items(), _eigen_pieces(F, blocks.values())):
-        zero = not piece
-        ambient = len(indices) - 1
-        if zero:
-            dim = ambient
-            count = 1 if ambient == 0 else None
-        elif ambient == 0:
-            dim = -1
-            count = 0
-        else:
-            dim = ambient - 1
-            count = None
-            if ambient == 1:
-                f = HomogPoly(F.num_vars, F.degree, piece)
-                count = _distinct_binary_roots(f, *indices)
-        slices.append(
-            SliceInfo(
-                indices=tuple(indices),
-                eigen_exp=exp,
-                ambient_dim=ambient,
-                restriction_zero=zero,
-                dim=dim,
-                point_count=count,
-            )
-        )
+    keys = [tuple(indices) for indices in blocks.values()]
+    missing = [indices for indices in keys if indices not in memo]
+    if missing:
+        for indices, piece in zip(missing, _eigen_pieces(F, missing)):
+            memo[indices] = _slice_data(F, indices, piece)
+    slices = tuple(
+        SliceInfo(indices, exp, *memo[indices]) for exp, indices in zip(blocks, keys)
+    )
     dims = [s.dim for s in slices if s.dim >= 0]
     codim = (n - max(dims)) if dims else None
     if any(s.restriction_zero and s.ambient_dim >= 1 for s in slices):
@@ -536,29 +543,43 @@ def fixed_locus(F: HomogPoly, g: DiagAut) -> FixedLocusReport:
         total = None
     return FixedLocusReport(
         n=n,
-        slices=tuple(slices),
+        slices=slices,
         codim_in_x=codim,
         contains_line=line,
         point_count=total,
     )
 
 
+def _slice_data(F: HomogPoly, indices: tuple[int, ...], piece):
+    """(ambient_dim, restriction_zero, dim, point_count) of F's slice on a block."""
+    ambient = len(indices) - 1
+    if not piece:
+        return ambient, True, ambient, 1 if ambient == 0 else None
+    if ambient == 0:
+        return ambient, False, -1, 0
+    count = None
+    if ambient == 1:
+        count = _distinct_binary_roots(HomogPoly(F.num_vars, F.degree, piece), *indices)
+    return ambient, False, ambient - 1, count
+
+
 def _eigen_pieces(F: HomogPoly, blocks) -> list[dict[Monomial, CycloNum]]:
     """The terms of F restricted to each block of coordinates, in one pass.
 
-    blocks lists disjoint index lists.  A monomial belongs to the block that
-    holds its whole support, if any.
+    blocks lists disjoint index lists; they need not cover every coordinate.
+    A monomial belongs to the block that holds its whole support, if any, so
+    one that uses a coordinate in no block belongs to no piece.
     """
     if F.degree == 0:  # a constant restricts to itself on every block
         return [dict(F.terms) for _ in blocks]
-    owner = [0] * F.num_vars
+    owner = [-1] * F.num_vars
     for b, indices in enumerate(blocks):
         for i in indices:
             owner[i] = b
     pieces: list[dict[Monomial, CycloNum]] = [{} for _ in blocks]
     for mon, c in F.terms.items():
         held = {owner[i] for i, e in enumerate(mon) if e}
-        if len(held) == 1:
+        if len(held) == 1 and -1 not in held:
             pieces[held.pop()][mon] = c
     return pieces
 

@@ -27,7 +27,7 @@ from .classify import (
     classify_instances,
     theorem11_claims,
 )
-from .geometry import fixed_locus, smoothness
+from .geometry import fixed_loci, smoothness
 from .poly import HomogPoly, Monomial
 
 MAX_DELTA_VARS = 6
@@ -276,10 +276,8 @@ def audit_row(n: int, d: int, claims, enum_cap: int = DEFAULT_ENUMERATION_CAP,
         except CapExceededError:
             capped.append(support.name)
             continue
-        for g in elements:
-            if g.is_identity():
-                continue
-            fix = fixed_locus(F, g)
+        moving = [g for g in elements if not g.is_identity()]
+        for g, fix in zip(moving, fixed_loci(F, moving)):
             if fix.codim_in_x not in codims:
                 continue
             order = g.order_in_pgl()

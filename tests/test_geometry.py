@@ -26,6 +26,7 @@ from hyperaut.geometry import (
     _prime_with_root,
     _sparse_rank,
     _split_certificate,
+    fixed_loci,
     fixed_locus,
     galois_by_theorem,
     smoothness,
@@ -895,11 +896,67 @@ def forms_and_partitions(draw):
 @settings(max_examples=80, deadline=None)
 @given(forms_and_partitions())
 def test_eigen_pieces_are_the_restrictions(case):
+    # blocks[1:] leaves the first block's coordinates in no block, and a
+    # monomial using one of them belongs to no piece.
     F, blocks = case
-    for indices, piece in zip(blocks, _eigen_pieces(F, blocks)):
-        complement = [i for i in range(F.num_vars) if i not in indices]
-        restriction = restrict(F, complement) if complement else F
-        assert HomogPoly(F.num_vars, F.degree, piece) == restriction
+    for cover in (blocks, blocks[1:]):
+        for indices, piece in zip(cover, _eigen_pieces(F, cover)):
+            complement = [i for i in range(F.num_vars) if i not in indices]
+            restriction = restrict(F, complement) if complement else F
+            assert HomogPoly(F.num_vars, F.degree, piece) == restriction
+
+
+def test_eigen_pieces_leave_out_monomials_on_unlisted_coordinates():
+    # X3 is in no block: X3^5 and X1*X3^4 must not land in the piece of
+    # (1, 2), the block listed first.
+    F = parse("X0^5 + X1^5 + X1*X2^4 + X1*X3^4 + X3^5", 4)
+    assert [HomogPoly(4, 5, piece) for piece in _eigen_pieces(F, [[1, 2], [0]])] == [
+        parse("X1^5 + X1*X2^4", 4), parse("X0^5", 4),
+    ]
+
+
+def test_fixed_loci_equal_fixed_locus_and_the_oracles_on_smooth_delta_groups():
+    # The shared per-block slices against one report per element, and each
+    # slice against the restriction of F and Euclid's count on it.  The
+    # oracles depend only on F and the block, so each is run once per block.
+    elements = lines = 0
+    for n, d in DELTA_GRID:
+        for support in delta_supports(n, d):
+            F = support.poly()
+            if not smoothness(F).is_smooth:
+                continue
+            group = symmetry_group(support.monomials(), support.num_vars)
+            els = [g for g in enumerate_elements(group) if not g.is_identity()]
+            reports = list(fixed_loci(F, els))
+            assert reports == [fixed_locus(F, g) for g in els]
+            oracle = {}
+            for s in (s for fix in reports for s in fix.slices):
+                if s.indices not in oracle:
+                    complement = [i for i in range(F.num_vars) if i not in s.indices]
+                    restriction = restrict(F, complement) if complement else F
+                    count = None
+                    if s.ambient_dim == 1 and not restriction.is_zero():
+                        count = euclid_root_count(restriction, *s.indices)
+                        lines += 1
+                    oracle[s.indices] = (restriction.is_zero(), count)
+                zero, count = oracle[s.indices]
+                assert s.restriction_zero == zero
+                if count is not None:
+                    assert s.point_count == count
+            elements += len(els)
+    assert elements > 5000 and lines > 100
+
+
+def test_fixed_loci_check_every_element_after_the_blocks_are_shared():
+    # bad has the blocks of the first good element, all shared by then, but
+    # X0^5 has weight 3 * 5 = 1 (mod 7) and the other terms weight 0.
+    F = fermat(4, 5)
+    good = [DiagAut(5, (1, 0, 0, 0)), DiagAut(5, (1, 1, 0, 0)), DiagAut(5, (2, 0, 0, 0))]
+    bad = DiagAut(7, (3, 0, 0, 0))
+    loci = fixed_loci(F, good + [bad])
+    assert [next(loci) for _ in good] == [fixed_locus(F, g) for g in good]
+    with pytest.raises(NotSemiInvariantError):
+        next(loci)
 
 
 # -- projections and the Galois criterion ------------------------------------------

@@ -1,8 +1,10 @@
+from collections import Counter
 from itertools import permutations
+from math import comb
 
 import pytest
 
-from hyperaut import harness
+from hyperaut import geometry, harness
 from hyperaut.autgrp import CapExceededError, DiagAut, symmetry_group
 from hyperaut.classify import theorem11_divisors
 from hyperaut.geometry import fixed_locus, smoothness
@@ -143,6 +145,29 @@ def test_one_sweep_gives_each_claim_its_single_claim_report(monkeypatch):
     for claim, report in zip(AUDIT_CLAIM_IDS, reports):
         assert report == audit_row(2, 5, (claim,))[0], claim
         assert report.cases_examined > 0, claim
+
+
+def test_audit_counts_the_points_of_each_line_slice_once_per_support(monkeypatch):
+    # The binary gcd runs once per (smooth support, two-coordinate block),
+    # however many of the support's elements have that block.
+    supports = []
+    calls = Counter()
+    loci, roots = harness.fixed_loci, geometry._distinct_binary_roots
+
+    def tracking(F, elements):
+        supports.append(F)
+        return loci(F, elements)
+
+    def counted(f, j, k):
+        calls[len(supports), j, k] += 1
+        return roots(f, j, k)
+
+    monkeypatch.setattr(harness, "fixed_loci", tracking)
+    monkeypatch.setattr(geometry, "_distinct_binary_roots", counted)
+    report = audit_row(3, 4, ("thm-1.1-codim2",))[0]
+    assert len(supports) == report.supports_smooth == 16
+    assert calls and max(calls.values()) == 1
+    assert len(calls) <= 16 * comb(5, 2)
 
 
 def test_audit_rejects_bad_input():
