@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
-from .autgrp import DiagAut, multiplier, smith_normal_form
-from .cyclo import CycloNum
+from .autgrp import DiagAut, smith_normal_form
+from .cyclo import CycloNum, root_of_unity
 from .geometry import FixedLocusReport, GaloisVerdict, galois_by_theorem
 from .poly import MAX_VARS, CapExceededError, HomogPoly
 
@@ -607,7 +607,7 @@ def classify_case(
     n = F.num_vars - 2
     d = F.degree
     check_range(n, d)
-    t = multiplier(F, g)
+    t = root_of_unity(g.level, fix.character)
     order = g.order_in_pgl()
     instances = classify_instances(F, g, fix, n, d)
     ntype, unit, reason = normal_form_type(g, fix)

@@ -7,17 +7,17 @@ representation is canonical: two values at the same level are equal as field
 elements exactly when their coordinate tuples coincide.  Arithmetic on values
 at different levels embeds both into the lcm level first.
 
-Coordinates are `fractions.Fraction`, so everything is exact.
+Coordinates are `fractions.Fraction`, so everything is exact.  Every
+univariate polynomial product and division, here and in `geometry`, runs
+through `_poly_mul` and `_poly_divmod`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import gcd, lcm
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def euler_phi(n: int) -> int:
@@ -36,22 +36,46 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _exact_int_poly_div(num: list[int], den: list[int]) -> list[int]:
-    # Exact division of integer polynomials, constant term first.
-    num = list(num)
-    width = len(den)
-    q = [0] * (len(num) - width + 1)
+def _poly_mul(a, b) -> list:
+    """The product of two coefficient lists, constant term first."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    b = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in b:
+                out[i + j] += x * y
+    return out
+
+
+def _poly_divmod(a, b) -> tuple[list, list]:
+    """(q, r) with a == q*b + r and len(r) < len(b), constant term first.
+
+    Exact for Fraction and CycloNum entries, and for int entries when b is
+    monic: an int leading coefficient must be 1, so the quotient is found
+    without dividing and stays in the integers.  Trailing zeros of b and of
+    r are dropped.
+    """
+    a = list(a)
+    while b and not b[-1]:
+        b = b[:-1]
+    lead = b[-1]
+    # Decided from the type: comparing a CycloNum lead with 1 would embed
+    # the 1 at the lead's level on every call.
+    monic = isinstance(lead, int)
+    if monic and lead != 1:
+        raise ValueError("an integer divisor must be monic")
+    q = [0] * max(0, len(a) - len(b) + 1)
     for k in range(len(q) - 1, -1, -1):
-        c = num[k + width - 1]
-        if c % den[-1]:
-            raise ArithmeticError("division is not exact")
-        q[k] = c // den[-1]
-        if q[k]:
-            for i, dc in enumerate(den):
-                num[k + i] -= q[k] * dc
-    if any(num):
-        raise ArithmeticError("division is not exact")
-    return q
+        top = a[k + len(b) - 1]
+        if top:
+            c = q[k] = top if monic else top / lead
+            for i, bc in enumerate(b):
+                a[k + i] -= c * bc
+    while a and not a[-1]:
+        a.pop()
+    return q, a
 
 
 @lru_cache(maxsize=None)
@@ -66,7 +90,9 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly = _exact_int_poly_div(poly, list(cyclotomic_polynomial(d)))
+            poly, rest = _poly_divmod(poly, cyclotomic_polynomial(d))
+            if rest:
+                raise ArithmeticError("division is not exact")
     return tuple(poly)
 
 
@@ -141,12 +167,6 @@ class CycloNum:
     def __setattr__(self, name, value):
         raise AttributeError("CycloNum is immutable")
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_rational(cls, q) -> "CycloNum":
-        return cls(1, (Fraction(q),))
-
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -177,7 +197,7 @@ class CycloNum:
         if isinstance(x, CycloNum):
             return x
         if isinstance(x, (int, Fraction)):
-            return CycloNum.from_rational(x)
+            return rational(x)
         raise TypeError(f"cannot interpret {x!r} as a cyclotomic number")
 
     def _common(self, other) -> tuple["CycloNum", "CycloNum"]:
@@ -226,13 +246,7 @@ class CycloNum:
             return other.embed(m)._scale(self.coeffs[0])
         xs, da = _integral(self.embed(m).coeffs)
         ys, db = _integral(other.embed(m).coeffs)
-        prod = [0] * (2 * len(xs) - 1)
-        ys = [(j, y) for j, y in enumerate(ys) if y]
-        for i, x in enumerate(xs):
-            if x:
-                for j, y in ys:
-                    prod[i + j] += x * y
-        return _reduce_power_vector(m, prod, da * db)
+        return _reduce_power_vector(m, _poly_mul(xs, ys), da * db)
 
     __rmul__ = __mul__
 
@@ -244,14 +258,14 @@ class CycloNum:
         # Extended Euclid against the cyclotomic polynomial over Q.
         phi = [Fraction(c) for c in cyclotomic_polynomial(self.level)]
         r0, r1 = phi, list(self.coeffs)
-        s0, s1 = [_ZERO], [_ONE]
+        s0, s1 = [0], [1]
         while True:
             while r1 and not r1[-1]:
                 r1.pop()
             if len(r1) == 1:
                 return _reduce_power_vector(self.level, *_integral([c / r1[0] for c in s1]))
-            q, r = _frac_poly_divmod(r0, r1)
-            s = _frac_poly_sub(s0, _frac_poly_mul(q, s1))
+            q, r = _poly_divmod(r0, r1)
+            s = [x - y for x, y in zip_longest(s0, _poly_mul(q, s1), fillvalue=0)]
             r0, s0 = r1, s1
             r1, s1 = r, s
 
@@ -274,7 +288,7 @@ class CycloNum:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        result = CycloNum.from_rational(1).embed(self.level)
+        result = ONE.embed(self.level)
         base = self
         while True:
             if k & 1:
@@ -360,42 +374,6 @@ _set_level = CycloNum.level.__set__
 _set_coeffs = CycloNum.coeffs.__set__
 
 
-def _frac_poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    while b and not b[-1]:
-        b = b[:-1]
-    q = [_ZERO] * max(0, len(a) - len(b) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        top = a[k + len(b) - 1]
-        if top:
-            c = q[k] = top / b[-1]
-            for i, bc in enumerate(b):
-                a[k + i] -= c * bc
-    while a and not a[-1]:
-        a.pop()
-    return q, a
-
-
-def _frac_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _frac_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = list(a) + [_ZERO] * (n - len(a))
-    for i, c in enumerate(b):
-        a[i] -= c
-    return a
-
-
 def root_of_unity(level: int, k: int = 1) -> CycloNum:
     """zeta_level^k in canonical form at the given level.
 
@@ -409,7 +387,7 @@ def root_of_unity(level: int, k: int = 1) -> CycloNum:
 
 def rational(q) -> CycloNum:
     """A rational number as a level-1 cyclotomic value."""
-    return CycloNum.from_rational(Fraction(q))
+    return _make(1, (Fraction(q),))
 
 
 ZERO = rational(0)

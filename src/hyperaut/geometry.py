@@ -73,7 +73,7 @@ from math import comb, isqrt, lcm
 from operator import add
 
 from .autgrp import CapExceededError, DiagAut, character
-from .cyclo import ZERO, CycloNum, _frac_poly_divmod
+from .cyclo import ZERO, CycloNum, _poly_divmod
 from .poly import HomogPoly, Monomial, monomials_of_degree
 
 DEFAULT_ENTRY_CAP = 200_000
@@ -173,7 +173,7 @@ def _line_gcd_degree(forms, j: int, k: int, rational_coeffs: bool) -> int | None
             low, high = min(low, lo), min(high, p.degree - hi)
             # Euclid, stopping at a constant remainder: the gcd is then 1.
             while len(part) > 1:
-                gcd, part = part, _frac_poly_divmod(gcd, part)[1]
+                gcd, part = part, _poly_divmod(gcd, part)[1]
             gcd = part or gcd
         if low == high == 0 and len(gcd) == 1:
             return 0
@@ -473,6 +473,7 @@ class FixedLocusReport:
     codim_in_x: int | None      # None when the fixed locus is empty
     contains_line: bool | None  # None means undecided
     point_count: int | None     # total, when the fixed locus is finite
+    character: int              # c with F(g x) = zeta_level^c F(x)
 
 
 def fixed_locus(F: HomogPoly, g: DiagAut) -> FixedLocusReport:
@@ -480,9 +481,10 @@ def fixed_locus(F: HomogPoly, g: DiagAut) -> FixedLocusReport:
 
     This report is the record of g's eigenspaces that classification and the
     Galois test read: one slice per distinct exponent of g, ordered by its
-    first coordinate.  Requires g to act on F by a single scalar; raises
-    NotSemiInvariantError otherwise.  F is split into its eigenspace pieces
-    in one pass over its terms.  Isolated fixed points on one-dimensional slices are counted
+    first coordinate.  Requires g to act on F by a single scalar
+    zeta_level^c and keeps c as `character`; raises NotSemiInvariantError
+    otherwise.  F is split into its eigenspace pieces in one pass over its
+    terms.  Isolated fixed points on one-dimensional slices are counted
     without multiplicity: the count is the degree of the piece, a binary
     form f, minus the degree of the gcd of its two partials (the repeated
     part of f, by Euler's relation), taken by the same exact binary gcd as
@@ -516,7 +518,7 @@ def _fixed_locus(F: HomogPoly, g: DiagAut, memo: dict) -> FixedLocusReport:
     """fixed_locus, reading and filling memo: block indices to
     (ambient, zero, dim, count), the block's SliceInfo fields after eigen_exp.
     """
-    character(F, g)
+    c = character(F, g)
     n = F.num_vars - 2
     blocks: dict[int, list[int]] = {}
     for i, e in enumerate(g.exps):
@@ -547,6 +549,7 @@ def _fixed_locus(F: HomogPoly, g: DiagAut, memo: dict) -> FixedLocusReport:
         codim_in_x=codim,
         contains_line=line,
         point_count=total,
+        character=c,
     )
 
 

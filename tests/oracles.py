@@ -15,7 +15,7 @@ from hyperaut.autgrp import (
     DiagAut,
     symmetry_group,
 )
-from hyperaut.cyclo import _frac_poly_divmod, rational
+from hyperaut.cyclo import rational
 from hyperaut.geometry import GaloisVerdict, fixed_locus
 from hyperaut.poly import HomogPoly, IncidenceProfile
 
@@ -227,8 +227,23 @@ def euclid_root_count(form: HomogPoly, j: int, k: int) -> int:
     at_infinity = 1 if len(p) <= deg else 0
     a, b = p, [p[e] * e for e in range(1, len(p))]
     while b:
-        a, b = b, _frac_poly_divmod(a, b)[1]
+        a, b = b, _remainder(a, b)
     return (len(p) - len(a)) + at_infinity
+
+
+def _remainder(a, b):
+    """a mod b by schoolbook long division, constant term first; a and b
+    carry no trailing zeros, and neither does the result."""
+    a = list(a)
+    while len(a) >= len(b):
+        c = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for i, bc in enumerate(b):
+            a[shift + i] -= c * bc
+        a.pop()
+        while a and not a[-1]:
+            a.pop()
+    return a
 
 
 def binary_form_from_roots(num_vars: int, j: int, k: int, roots) -> HomogPoly:

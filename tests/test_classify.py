@@ -1,6 +1,7 @@
 import pytest
 
-from hyperaut.autgrp import DiagAut, enumerate_elements, symmetry_group
+from hyperaut import autgrp, geometry
+from hyperaut.autgrp import DiagAut, enumerate_elements, multiplier, symmetry_group
 from hyperaut.classify import (
     TYPE_I,
     TYPE_II,
@@ -131,6 +132,26 @@ def test_witness_claims_and_warning():
         assert case.rationality.status == "rational"
         assert case.rationality.primary == "thm-3.18"
         assert "thm-4.5-corrected" in case.warnings
+
+
+def test_semi_invariance_is_decided_once_per_element(monkeypatch):
+    # fixed_locus keeps the character; classify_case reads it off the report
+    # instead of deciding semi-invariance a second time.
+    calls = []
+    character = autgrp.character
+
+    def counted(F, g):
+        calls.append(g)
+        return character(F, g)
+
+    monkeypatch.setattr(autgrp, "character", counted)
+    monkeypatch.setattr(geometry, "character", counted)
+    F = fermat(4, 5)
+    for g in enumerate_elements(symmetry_group(list(F.terms), 4)):
+        calls.clear()
+        case = classify_case(F, g, fixed_locus(F, g))
+        assert calls == [g]
+        assert case.multiplier_t == multiplier(F, g)
 
 
 def test_divisor_claims_type_level():

@@ -1,5 +1,7 @@
 import random
+import time
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 
 from hyperaut.cyclo import (
     CycloNum,
+    _poly_divmod,
+    _poly_mul,
     _reduce_power_vector,
     cyclotomic_polynomial,
     euler_phi,
@@ -34,6 +38,87 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
     for n in (1, 2, 3, 8, 30):
         assert len(cyclotomic_polynomial(n)) == euler_phi(n) + 1
+
+
+def _convolve(a, b):
+    # The product of two coefficient lists, by a dict of exponents.
+    out = {}
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out.get(i + j, 0) + x * y
+    return [out[k] for k in sorted(out)]
+
+
+def _trimmed(a):
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+@st.composite
+def poly_pairs(draw):
+    """(kind, a, b): coefficient lists with b's leading entry nonzero, and 1
+    for ints; entries are ints, Fractions, or CycloNum values at one level."""
+    kind = draw(st.sampled_from(("int", "fraction", 3, 4, 5, 12)))
+    if kind == "int":
+        entry = st.integers(-6, 6)
+    elif kind == "fraction":
+        entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    else:
+        entry = st.builds(
+            lambda k, c, q: root_of_unity(kind, k) * c + q,
+            st.integers(0, kind - 1), st.integers(-2, 2), st.integers(-2, 2),
+        )
+    a = draw(st.lists(entry, max_size=8))
+    b = draw(st.lists(entry, max_size=4))
+    lead = 1 if kind == "int" else draw(entry.filter(bool))
+    return kind, a, b + [lead]
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_pairs())
+def test_poly_mul_is_the_convolution(case):
+    _, a, b = case
+    assert _poly_mul(a, b) == _convolve(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_pairs())
+def test_poly_divmod_divides(case):
+    kind, a, b = case
+    q, r = _poly_divmod(a, b)
+    assert len(r) < len(b)
+    assert r == _trimmed(r)
+    total = [x + y for x, y in zip_longest(_convolve(q, b), r, fillvalue=0)]
+    assert _trimmed(total) == _trimmed(a)
+    if kind == "int":
+        assert all(type(c) is int for c in q + r)
+
+
+def test_poly_divmod_refuses_a_non_monic_integer_divisor():
+    with pytest.raises(ValueError):
+        _poly_divmod([1, 2, 3], [1, 2])
+
+
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
+    for n in range(1, 121):
+        acc = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                phi = cyclotomic_polynomial(d)
+                assert all(type(c) is int for c in phi), d
+                acc = _convolve(acc, phi)
+        assert acc == [-1] + [0] * (n - 1) + [1], n
+
+
+def test_uncached_cyclotomic_polynomial_stays_in_the_integers():
+    # The division runs on ints; on Fractions this level takes seconds.
+    cyclotomic_polynomial.cache_clear()
+    start = time.perf_counter()
+    phi = cyclotomic_polynomial(2040)
+    assert time.perf_counter() - start < 2
+    assert len(phi) == euler_phi(2040) + 1 and phi[-1] == 1
 
 
 def test_roots_of_unity_basic():

@@ -622,7 +622,7 @@ def sparse_matrices(draw):
             return draw(st.integers(1, prime - 1))
         value = root_of_unity(level, draw(st.integers(0, level - 1)))
         value = value * draw(st.sampled_from((1, -1, 2))) + draw(st.integers(-1, 1))
-        return value if value else CycloNum.from_rational(1)
+        return value if value else rational(1)
 
     ncols = draw(st.integers(1, 5))
     rows = []
@@ -790,14 +790,14 @@ def test_point_counts_need_no_cyclotomic_arithmetic_for_rational_forms(monkeypat
             return _method(*args)
 
         monkeypatch.setattr(CycloNum, name, counting)
-    divmod_ = geometry._frac_poly_divmod
+    divmod_ = geometry._poly_divmod
 
     def counting_divmod(a, b):
         if any(isinstance(c, CycloNum) for c in list(a) + list(b)):
             calls["divmod"] += 1
         return divmod_(a, b)
 
-    monkeypatch.setattr(geometry, "_frac_poly_divmod", counting_divmod)
+    monkeypatch.setattr(geometry, "_poly_divmod", counting_divmod)
     counted = sum(
         1 for F, g in _delta_group_cases(DELTA_GRID[:2])
         for s in fixed_locus(F, g).slices if s.point_count is not None and s.ambient_dim == 1
