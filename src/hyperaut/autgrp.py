@@ -23,8 +23,7 @@ from .poly import (
     Monomial,
     NotSemiInvariantError,
     ParseError,
-    check_root_level,
-    parse_scalar,
+    parse_scalars,
 )
 
 DEFAULT_ENUMERATION_CAP = 10 ** 6
@@ -134,10 +133,9 @@ def parse_diag(text: str) -> DiagAut:
         else:
             cur.append(ch)
     parts.append("".join(cur))
-    check_root_level(*parts)  # the parts share one cap, checked before any is parsed
     if len(parts) == 1 and not parts[0].strip():
         raise ParseError("diag() needs at least one eigenvalue")
-    values = [parse_scalar(p) for p in parts]
+    values = parse_scalars(parts)
     try:
         return DiagAut.from_eigenvalues(values)
     except ValueError as exc:

@@ -19,7 +19,10 @@ The parser refuses the same way, before expanding it, any product or power
 of degree above MAX_DEGREE, any product of more than MAX_TERMS term pairs,
 any sum of more than MAX_TERMS terms, any scalar power with an exponent
 above MAX_ROOT_LEVEL, more than MAX_VARS variables, and a coefficient
-product that would take one parse's work above COST_BUDGET.
+product that would take one parse's work above COST_BUDGET.  A root power
+zN^k is read off the level-N table and a single term with a rational
+coefficient is powered termwise; neither makes a coefficient product, so
+neither is charged.
 """
 
 from __future__ import annotations
@@ -313,15 +316,10 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def check_root_level(*texts: str) -> None:
-    """Raise CapExceededError when the zN levels of the texts have an lcm
-    above MAX_ROOT_LEVEL."""
-    level = 1
-    for text in texts:
-        for tok in _tokenize(text):
-            m = _ROOT_RE.fullmatch(tok)
-            if m:
-                level = lcm(level, int(m.group(1)))
+def _check_root_level(*parsers: "_Parser") -> None:
+    """Raise CapExceededError when the zN levels of the parsers' texts have
+    an lcm above MAX_ROOT_LEVEL."""
+    level = lcm(*(p.root_level for p in parsers))
     if level > MAX_ROOT_LEVEL:
         raise CapExceededError(
             f"root-of-unity level {level} (the lcm of the zN levels) exceeds "
@@ -330,9 +328,13 @@ def check_root_level(*texts: str) -> None:
 
 
 class _Parser:
+    """One text, tokenized once; parse() only after _check_root_level."""
+
     def __init__(self, text: str, num_vars: int):
-        check_root_level(text)
         self.tokens = _tokenize(text)
+        self.root_level = lcm(*(
+            int(m.group(1)) for m in map(_ROOT_RE.fullmatch, self.tokens) if m
+        ))
         self.pos = 0
         self.num_vars = num_vars
         self.cost = 0
@@ -393,6 +395,7 @@ class _Parser:
         while self.peek() in ("+", "-"):
             if self.next() == "-":
                 sign = -sign
+        root = _ROOT_RE.fullmatch(self.peek() or "")
         value = self._atom()
         if self.peek() == "^":
             self.next()
@@ -403,7 +406,7 @@ class _Parser:
             tok = self.next()
             if not tok.isdigit():
                 raise ParseError(f"expected an integer exponent, got {tok!r}")
-            value = self._pow(value, exp_sign * int(tok))
+            value = self._pow(value, exp_sign * int(tok), int(root.group(1)) if root else 0)
         if sign < 0:
             value = {m: -c for m, c in value.items()}
         return value
@@ -463,7 +466,14 @@ class _Parser:
         self._charge(a, b)
         return _dict_mul(a, b)
 
-    def _pow(self, a, k):
+    def _pow(self, a, k, root_level=0):
+        """a^k, refused above the caps and the budget; root_level is N when a
+        is the bare token zN.
+
+        A root power is read off the level-N table and a single term with a
+        rational coefficient is powered termwise: neither makes a coefficient
+        product, so neither is charged.  Other powers multiply out.
+        """
         scalar = _as_scalar(a)
         # zN^k with k < N is the largest scalar power a diag(...) text needs.
         if scalar is not None and abs(k) > MAX_ROOT_LEVEL:
@@ -471,10 +481,18 @@ class _Parser:
         if k < 0 and not scalar:
             raise ParseError("negative powers are only allowed for nonzero scalars")
         out = {self._unit(): rational(1)}
+        if k == 0:
+            return out
+        if root_level:
+            return {self._unit(): root_of_unity(root_level, k)}
         if scalar is None:
             degree = _degree(a) * k
             if degree > MAX_DEGREE:
                 raise CapExceededError(f"degree {degree} exceeds the cap of {MAX_DEGREE}")
+            if len(a) == 1:
+                (mon, c), = a.items()
+                if c.is_rational():
+                    return {tuple(e * k for e in mon): c ** k}
             for _ in range(k):
                 out = self._mul(out, a)
             return out
@@ -542,7 +560,9 @@ def parse(text: str, num_vars: int) -> HomogPoly:
         raise ParseError("need at least one variable")
     if num_vars > MAX_VARS:
         raise CapExceededError(f"{num_vars} variables exceed the cap of {MAX_VARS}")
-    value = _Parser(text, num_vars).parse()
+    parser = _Parser(text, num_vars)
+    _check_root_level(parser)
+    value = parser.parse()
     if not value:
         raise ParseError("the zero polynomial has no defined degree")
     degrees = {sum(m) for m in value}
@@ -554,8 +574,18 @@ def parse(text: str, num_vars: int) -> HomogPoly:
 
 def parse_scalar(text: str) -> CycloNum:
     """Parse a scalar expression (integers, fractions, zN powers, + - *)."""
-    value = _Parser(text, 0).parse()
-    scalar = _as_scalar(value)
-    if scalar is None:
-        raise ParseError("expected a scalar expression")
-    return scalar
+    return parse_scalars([text])[0]
+
+
+def parse_scalars(texts) -> list[CycloNum]:
+    """Parse scalar expressions that share one root-of-unity level: the lcm
+    of the zN levels of all the texts is refused before any is parsed."""
+    parsers = [_Parser(text, 0) for text in texts]
+    _check_root_level(*parsers)
+    values = []
+    for parser in parsers:
+        scalar = _as_scalar(parser.parse())
+        if scalar is None:
+            raise ParseError("expected a scalar expression")
+        values.append(scalar)
+    return values

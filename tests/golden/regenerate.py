@@ -44,6 +44,11 @@ ANALYZE_PAIRS = [
     ("z7*X0^3*X1 + X1^3*X0 + (1+z7^3)*X2^4 + X3^4 + X4^4",
      "diag(1, 1, z4, 1, 1)"),
     ("z3*X0^4*X1 + X0*X1^4 + X0*X2^4 + X2*X3^4", "diag(z3, 1, 1, 1)"),
+    # Root powers with exponents 0 and below 0, a one-term power, and a
+    # negative exponent in each eigenvalue.
+    ("z8^0*X0^5 + (2*X0)^4*X1 + z8^-3*X1^5 + X2^5 + X3^5",
+     "diag(1, 1, z5, z5^-2)"),
+    ("X0^4+X1^4+X2^4+X0*X3^3+X1*X4^3", "diag(z12^-4, z12^-4, z12^-1, 1, 1)"),
 ]
 
 ANALYZE_FLAGS = [(), ("--json",), ("--skip-smoothness",)]
@@ -54,6 +59,7 @@ SYMMETRY_ARGS = [
     ("",),
     ("X0^3", "--vars", "3"),
     ("X0^3+z123456*X1^3+X2^3",),
+    ("(X0*X1)^2 + X0^4 + (-X1)^4 + X2^3*X0",),
 ]
 
 # One call per row of the exit-code table in cli.main, and the audit's text

@@ -1,8 +1,10 @@
+import cmath
 import random
 import time
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperaut.autgrp import DiagAut, multiplier, parse_diag
@@ -56,6 +58,8 @@ def test_parse_coefficients_and_errors():
         parse("X0 / X1", 2)
     assert parse_scalar("z12^4") == root_of_unity(3, 1)
     assert parse_scalar("3/4 * z2") == rational(-3) / 4
+    with pytest.raises(ParseError, match="root-of-unity level must be positive"):
+        parse_scalar("z0^3")
 
 
 def _monomial_text(mon):
@@ -71,8 +75,12 @@ def _monomial_text(mon):
     ("z3^3000 * X0", 1, f"exponent 3000 exceeds the cap of {MAX_ROOT_LEVEL}"),
     ("X0", MAX_VARS + 1, f"{MAX_VARS + 1} variables exceed the cap of {MAX_VARS}"),
     ("X99999999", 10 ** 8, f"100000000 variables exceed the cap of {MAX_VARS}"),
+    ("z5^-3000 * X0", 1, f"exponent -3000 exceeds the cap of {MAX_ROOT_LEVEL}"),
+    ("X0^257", 1, f"degree 257 exceeds the cap of {MAX_DEGREE}"),
+    ("(X0*X1)^129", 2, f"degree 258 exceeds the cap of {MAX_DEGREE}"),
 ], ids=["exponent", "product-degree", "product-terms", "sum-terms", "scalar-exponent",
-        "variables", "variable-index"])
+        "variables", "variable-index", "negative-root-exponent", "one-term-degree",
+        "one-term-product-degree"])
 def test_parse_refuses_inputs_above_the_caps_at_once(text, num_vars, message):
     start = time.perf_counter()
     with pytest.raises(CapExceededError) as info:
@@ -111,6 +119,71 @@ def test_parse_charges_dense_products_by_the_size_of_their_coefficients():
     assert time.perf_counter() - start < 2
 
 
+def test_root_powers_and_one_term_powers_are_not_charged():
+    # Both make no coefficient product.  Charged as dense products, the first
+    # ran out of budget at 67,566,112 steps and the second at 69,226,176.
+    root_of_unity(2039)
+    start = time.perf_counter()
+    value = parse_scalar("z2039^2038")
+    assert time.perf_counter() - start < 0.5
+    assert value.level == 2039 and value == root_of_unity(2039, -1)
+    text = " + ".join(f"z2039^{k}*X0^{k}*X1^{256 - k}" for k in range(1, 11))
+    start = time.perf_counter()
+    F = parse(text, 2)
+    assert time.perf_counter() - start < 2
+    assert F.terms == {(k, 256 - k): root_of_unity(2039, k) for k in range(1, 11)}
+
+
+@lru_cache(maxsize=None)
+def _copies_of_root(N, j):
+    """The product of |j| copies of zeta_N, of its inverse when j < 0,
+    bracketed in halves so that level 2048 stays cheap; 1 when j == 0."""
+    if j == 0:
+        return rational(1)
+    if abs(j) == 1:
+        z = parse_scalar(f"z{N}")
+        return rational(1) * z if j == 1 else rational(1) / z
+    half = int(j / 2)
+    return _copies_of_root(N, half) * _copies_of_root(N, j - half)
+
+
+def _complex_value(c):
+    return sum(float(q) * cmath.exp(2j * cmath.pi * i / c.level) for i, q in enumerate(c.coeffs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 12, 2048]), st.integers(-2048, 2048))
+@example(12, 0)
+def test_root_powers_match_repeated_products_and_the_complex_root(N, k):
+    value = parse_scalar(f"z{N}^{k}")
+    expected = _copies_of_root(N, k)
+    assert (value.level, value.coeffs) == (expected.level, expected.coeffs)
+    assert value.level == (N if k else 1)
+    assert abs(_complex_value(value) - cmath.exp(2j * cmath.pi * k / N)) < 1e-9
+
+
+RATIONAL_COEFFICIENTS = ["1", "-1", "2", "3/4", "(-2/5)", "(z3+1-z3)", "(z12^5-z12^5-7/3)"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(RATIONAL_COEFFICIENTS),
+       st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(any),
+       st.integers(0, 256))
+@example("(z3+1-z3)", [1], 0)
+def test_one_term_powers_match_repeated_products(c, mon, k):
+    k %= MAX_DEGREE // sum(mon) + 1
+    # Written without powers, so the base is made by the charged products.
+    base_text = "*".join([c] + [f"X{i}" for i, e in enumerate(mon) for _ in range(e)])
+    (base,) = parse(base_text, len(mon)).terms.values()
+    expected = rational(1)
+    for _ in range(k):
+        expected = expected * base
+    F = parse(f"({base_text})^{k}", len(mon))
+    assert list(F.terms) == [tuple(e * k for e in mon)]
+    (value,) = F.terms.values()
+    assert (value.level, value.coeffs) == (expected.level, expected.coeffs)
+
+
 def test_division_by_a_scalar_inverts_it_once():
     root_of_unity(2039)
     square = "(X0+X1+X2+X3+X4+X5+X6+X7)^2"
@@ -124,11 +197,14 @@ def test_division_by_a_scalar_inverts_it_once():
 def test_scalar_powers_match_repeated_products():
     for text, base, k in [("(2+z12^5)^7", 2 + root_of_unity(12, 5), 7),
                           ("(1-z5)^-3", 1 - root_of_unity(5), -3),
-                          ("(3/4)^0", rational(3) / 4, 0)]:
+                          ("(3/4)^0", rational(3) / 4, 0),
+                          ("(z3+1-z3)^0", rational(1) + root_of_unity(3) - root_of_unity(3), 0)]:
         value = rational(1)
         for _ in range(abs(k)):
             value = value * base
-        assert parse_scalar(text) == (value if k >= 0 else 1 / value)
+        expected = value if k >= 0 else 1 / value
+        got = parse_scalar(text)
+        assert (got.level, got.coeffs) == (expected.level, expected.coeffs)
 
 
 def test_str_round_trip():
