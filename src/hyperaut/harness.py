@@ -6,6 +6,25 @@ realize every vertex/near-power branch of the casework, so sweeping all of
 them (up to relabeling) and all diagonal symmetries of each gives a
 mechanical check of the order-divisor claims.  The family is a branch-cover
 sample, not an exhaustive list of smooth hypersurfaces; audit reports say so.
+
+The audit sweep skips two kinds of work that need no arithmetic:
+
+- A delta polynomial is the Thom-Sebastiani sum of its pieces over sigma's
+  connected components.  When no vertex of sigma is the image of two other
+  vertices, each piece is a Fermat term X^d, a chain X_1^(d-1) X_2 + ... +
+  X_k^d or a loop X_1^(d-1) X_2 + ... + X_k^(d-1) X_1, and such a sum (an
+  invertible polynomial, Berglund-Huebsch) is smooth for any nonzero
+  coefficients (Kreuzer-Skarke, On the classification of quasihomogeneous
+  functions, 1992).  Those supports are recorded smooth from sigma alone.
+  Every other support still gets the exact certificate of
+  geometry.smoothness, so a singular or inconclusive verdict never comes
+  from sigma.
+- g's fixed locus is the union of X cap P(V) over its eigenspaces V.  For
+  dim V = k, X cap P(V) is P(V) or a hypersurface in it, of dimension at
+  most k - 1, so its codimension in the n-fold X is at least n - k + 1.  An
+  element whose largest eigenvalue multiplicity is below n - c + 1 has
+  codimension above c, and when c is the largest codimension any claim
+  selects, its fixed locus is not computed.
 """
 
 from __future__ import annotations
@@ -67,6 +86,13 @@ class DeltaSupport:
 
     def poly(self) -> HomogPoly:
         return HomogPoly.from_support(self.monomials(), self.num_vars)
+
+    @property
+    def invertible(self) -> bool:
+        """No vertex of sigma is the image of two others: a sum of Fermat,
+        chain and loop pieces, smooth for any nonzero coefficients."""
+        targets = [t for i, t in enumerate(self.sigma) if t != i]
+        return len(targets) == len(set(targets))
 
 
 def delta_supports(n: int, d: int):
@@ -256,17 +282,24 @@ def audit_row(n: int, d: int, claims, enum_cap: int = DEFAULT_ENUMERATION_CAP,
     are computed once and shared; only the elements some claim can select
     are classified.  A support left inconclusive by the smoothness
     certificate or skipped by the enumeration cap makes every report partial.
+
+    An invertible support (DeltaSupport.invertible) is recorded smooth
+    without geometry.smoothness; every other one gets its exact certificate.
+    An element goes to fixed_loci only when its largest eigenspace is big
+    enough to meet X in the largest codimension the claims select (see
+    _can_reach); the others have a larger codimension, which no claim reads.
     """
     check_range(n, d)
     audits = [_ClaimAudit.for_claim(claim, n, d, keep_records) for claim in claims]
     codims = frozenset().union(*(audit.codims for audit in audits))
+    reach = max(codims, default=0)
 
     supports = delta_supports(n, d)
     by_verdict: dict[str, list[str]] = {"smooth": [], "singular": [], "inconclusive": []}
     capped = []
     for support in supports:
         F = support.poly()
-        verdict = smoothness(F).verdict
+        verdict = "smooth" if support.invertible else smoothness(F).verdict
         by_verdict[verdict].append(support.name)
         if verdict != "smooth":
             continue
@@ -276,7 +309,7 @@ def audit_row(n: int, d: int, claims, enum_cap: int = DEFAULT_ENUMERATION_CAP,
         except CapExceededError:
             capped.append(support.name)
             continue
-        moving = [g for g in elements if not g.is_identity()]
+        moving = [g for g in elements if not g.is_identity() and _can_reach(g, n, reach)]
         for g, fix in zip(moving, fixed_loci(F, moving)):
             if fix.codim_in_x not in codims:
                 continue
@@ -296,6 +329,15 @@ def audit_row(n: int, d: int, claims, enum_cap: int = DEFAULT_ENUMERATION_CAP,
                     max_order_by_type=dict(sorted(audit.max_orders.items())), **row)
         for audit in audits
     )
+
+
+def _can_reach(g: DiagAut, n: int, codim: int) -> bool:
+    """Whether g's fixed locus on an n-fold can have codimension <= codim.
+
+    An eigenspace of dimension k meets X in codimension at least n - k + 1,
+    so that needs one of multiplicity at least n - codim + 1.
+    """
+    return max(map(g.exps.count, g.exps)) >= n - codim + 1
 
 
 def audit_theorem(n: int, d: int, claim: str, enum_cap: int = DEFAULT_ENUMERATION_CAP,

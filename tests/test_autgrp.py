@@ -9,6 +9,7 @@ from hyperaut.autgrp import (
     CapExceededError,
     DiagAut,
     InfiniteGroupError,
+    character,
     enumerate_elements,
     multiplier,
     parse_diag,
@@ -188,10 +189,18 @@ def test_chain_symmetry_group():
 
 
 def test_symmetry_group_every_element_semi_invariant(klein_quartic):
-    for F in (klein_quartic, fermat(4, 3), parse("X0^3*X1+X1^3*X2+X2^4", 3)):
+    # The audit computes no fixed locus, so no character, for most elements
+    # of the smooth delta groups; this checks all of them.
+    polys = [klein_quartic, fermat(4, 3), parse("X0^3*X1+X1^3*X2+X2^4", 3)]
+    polys += [
+        support.poly()
+        for n, d in ((2, 5), (2, 6), (3, 4), (3, 5), (4, 4), (4, 5))
+        for support in delta_supports(n, d) if support.invertible
+    ]
+    for F in polys:
         group = symmetry_group(F.support())
         for g in enumerate_elements(group):
-            multiplier(F, g)  # raises if not semi-invariant
+            character(F, g)  # raises if not semi-invariant
 
 
 def test_infinite_group_rejected():

@@ -3,7 +3,6 @@ import json
 import random
 import time
 from datetime import timedelta
-from functools import partial
 from math import comb
 
 import pytest
@@ -14,7 +13,12 @@ from hyperaut import cli, harness
 from hyperaut.autgrp import CapExceededError, parse_diag
 from hyperaut.cli import main
 from hyperaut.cyclo import _reduced_powers, root_of_unity
-from hyperaut.geometry import DEFAULT_ENTRY_CAP, _macaulay_certificate, smoothness
+from hyperaut.geometry import (
+    DEFAULT_ENTRY_CAP,
+    SmoothnessCertificate,
+    _macaulay_certificate,
+    smoothness,
+)
 from hyperaut.harness import AuditReport, Violation
 from hyperaut.poly import (
     COST_BUDGET,
@@ -257,8 +261,17 @@ def test_audit_exit_codes(capsys):
 
 
 def test_an_inconclusive_support_makes_the_audit_partial(capsys, monkeypatch):
-    # An entry cap of 200 leaves 2 of the 19 supports at 2:5 undecided.
-    monkeypatch.setattr(harness, "smoothness", partial(smoothness, entry_cap=200))
+    # A certificate that leaves 2 of the 19 supports at 2:5 undecided; sigma
+    # certifies neither, so both reach smoothness.
+    undecided = [s.poly() for s in harness.delta_supports(2, 5)
+                 if s.name in ("sigma=0000", "sigma=1200")]
+
+    def undecided_on_two(F, *args, **kwargs):
+        if F in undecided:
+            return SmoothnessCertificate(verdict="inconclusive", method="macaulay_rank")
+        return smoothness(F, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "smoothness", undecided_on_two)
     report = harness.audit_theorem(2, 5, "thm-1.1-codim1", keep_records=False)
     assert len(report.supports_inconclusive) == 2
     assert report.partial and not report.ok

@@ -198,14 +198,43 @@ def test_paths_agree_with_exact_elimination_on_cyclotomic_fixtures():
 
 def test_delta_grid_against_kreuzer_skarke():
     # The fourfold rows check the component split, not the whole-F matrix.
+    # The audit's sigma certificate (DeltaSupport.invertible) must agree
+    # with both the oracle and the exact certificate.
     for n, d in DELTA_GRID + ((4, 4), (4, 5)):
         for support in delta_supports(n, d):
             F = support.poly()
             expected = _ks_smooth(support.sigma)
+            assert support.invertible == expected, support.name
             assert smoothness(F).is_smooth == expected, support.name
             if (n, d) in DELTA_GRID:
                 rank, target = _rank(F, "modular")
                 assert (rank == target) == expected, support.name
+
+
+INVERTIBLE_DELTA = [
+    support for n, d in DELTA_GRID + ((4, 4), (4, 5))
+    for support in delta_supports(n, d) if support.invertible
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(INVERTIBLE_DELTA),
+    st.lists(
+        st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool),
+        min_size=6, max_size=6,
+    ),
+)
+def test_chain_and_loop_sums_are_smooth_for_any_nonzero_coefficients(support, coeffs):
+    # Kreuzer-Skarke: a sum of Fermat, chain and loop pieces is smooth for
+    # any nonzero coefficients, and the rank test must certify it.
+    F = HomogPoly(support.num_vars, support.degree, {
+        mon: rational(c) for mon, c in zip(support.monomials(), coeffs)
+    })
+    assert len(F.terms) == support.num_vars
+    cert = smoothness(F)
+    assert cert.is_smooth, (support.name, coeffs)
+    assert cert.method == "macaulay_rank"
 
 
 # -- the component split ----------------------------------------------------------

@@ -5,11 +5,12 @@ from math import comb
 import pytest
 
 from hyperaut import geometry, harness
-from hyperaut.autgrp import CapExceededError, DiagAut, symmetry_group
+from hyperaut.autgrp import CapExceededError, DiagAut, enumerate_elements, symmetry_group
 from hyperaut.classify import theorem11_divisors
-from hyperaut.geometry import fixed_locus, smoothness
+from hyperaut.geometry import fixed_loci, fixed_locus, smoothness
 from hyperaut.harness import (
     AUDIT_CLAIM_IDS,
+    _can_reach,
     audit_row,
     audit_theorem,
     delta_supports,
@@ -140,11 +141,30 @@ def test_one_sweep_gives_each_claim_its_single_claim_report(monkeypatch):
 
     monkeypatch.setattr(harness, "smoothness", counted)
     reports = audit_row(2, 5, AUDIT_CLAIM_IDS)
-    assert len(calls) == len(delta_supports(2, 5)) == 19
+    # One certificate per support that sigma does not certify smooth.
+    supports = delta_supports(2, 5)
+    assert len(supports) == 19
+    assert calls == [s.poly() for s in supports if not s.invertible]
+    assert len(calls) == 9
     assert [r.claim for r in reports] == list(AUDIT_CLAIM_IDS)
     for claim, report in zip(AUDIT_CLAIM_IDS, reports):
         assert report == audit_row(2, 5, (claim,))[0], claim
         assert report.cases_examined > 0, claim
+
+
+def test_the_element_filter_keeps_every_element_of_codim_at_most_c():
+    # _can_reach drops an element before fixed_loci; it must keep each one
+    # whose fixed locus does have codimension <= c.
+    for n, d in ((2, 5), (2, 6), (3, 4), (3, 5), (4, 4), (4, 5)):
+        for support in delta_supports(n, d):
+            if not support.invertible:
+                continue
+            group = symmetry_group(support.monomials(), support.num_vars)
+            moving = [g for g in enumerate_elements(group) if not g.is_identity()]
+            for g, fix in zip(moving, fixed_loci(support.poly(), moving)):
+                for c in (1, 2):
+                    if fix.codim_in_x is not None and fix.codim_in_x <= c:
+                        assert _can_reach(g, n, c), (support.name, g, c)
 
 
 def test_audit_counts_the_points_of_each_line_slice_once_per_support(monkeypatch):
