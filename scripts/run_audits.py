@@ -9,7 +9,8 @@ Reproduces the headline verification runs:
 Each pair is swept once for all the claims (harness.audit_row), so every row
 of a pair shows that pair's sweep time.  The script exits 1 when a row has a
 violation or is partial (a support skipped by the enumeration cap or left
-inconclusive by the smoothness certificate).
+inconclusive by the smoothness certificate), and when a pair is skipped
+because it is unsupported or over a size cap, since its audit did not run.
 """
 
 import argparse
@@ -18,6 +19,7 @@ import time
 
 from hyperaut.classify import UnsupportedRangeError
 from hyperaut.harness import audit_row
+from hyperaut.poly import CapExceededError
 
 DEFAULT_PAIRS = ["2:5", "2:6", "3:4", "3:5", "4:4", "4:5"]
 
@@ -38,9 +40,10 @@ def main() -> int:
         start = time.perf_counter()
         try:
             reports = audit_row(n, d, args.claims, keep_records=False)
-        except UnsupportedRangeError as exc:
+        except (UnsupportedRangeError, CapExceededError) as exc:
             for claim in args.claims:
                 print(f"{n:>2} {d:>2} {claim:<16} skipped: {exc}")
+            failed = True
             continue
         elapsed = time.perf_counter() - start
         for report in reports:

@@ -22,7 +22,7 @@ from math import lcm
 from .autgrp import DiagAut, smith_normal_form
 from .cyclo import CycloNum, root_of_unity
 from .geometry import FixedLocusReport, GaloisVerdict, galois_by_theorem
-from .poly import MAX_VARS, CapExceededError, HomogPoly
+from .poly import MAX_DEGREE, MAX_VARS, CapExceededError, HomogPoly
 
 TYPE_I = "I"
 TYPE_II = "II"
@@ -48,6 +48,12 @@ def check_range(n: int, d: int) -> None:
         raise UnsupportedRangeError("classification needs degree d >= 3")
     if (n, d) == (2, 4):
         raise UnsupportedRangeError("the pair (n, d) = (2, 4) is excluded")
+
+
+def check_degree(d: int) -> None:
+    """Refuse a degree above poly.MAX_DEGREE, the cap every parsed input obeys."""
+    if d > MAX_DEGREE:
+        raise CapExceededError(f"degree {d} exceeds the cap of {MAX_DEGREE}")
 
 
 # -- the paper's order lists, read by the bound tables and the type-level claims --

@@ -28,6 +28,7 @@ from .classify import (
     UnsupportedRangeError,
     VertexSmoothnessError,
     badr_bars_divisors,
+    check_degree,
     check_range,
     classify_case,
     theorem11_divisors,
@@ -220,6 +221,7 @@ def cmd_bounds(args) -> int:
     n, d = args.n, args.d
     if n < 1 or d < 3:
         raise UnsupportedRangeError("bounds need n >= 1 and d >= 3")
+    check_degree(d)
     zheng = sorted(zheng_integers(n, d))
     badr = sorted(badr_bars_divisors(d)) if n == 1 else None
     if n >= 2:

@@ -43,10 +43,11 @@ recorded in the certificate's `path`:
   levels, zeta_L is sent to an element of order L in F_p for a prime
   p = 1 (mod L).  A full rank mod p proves full rank over Q(zeta_L), so this
   path only ever certifies *smooth*.
-- "rational" (every coefficient rational) or "cyclotomic" (some coefficient
-  irrational): the exact elimination with Fraction or CycloNum entries, run
-  when the modular rank falls short, a denominator is divisible by p, or the
-  modular fill-in hits its cap.  Sound in both directions.
+- "exact": the elimination over Q(zeta_L) itself, run when the modular rank
+  falls short, a denominator is divisible by p, or the modular fill-in hits
+  its cap.  A rational coefficient enters as its Fraction and any other as
+  its CycloNum, so a rational F eliminates over Fractions alone.  Sound in
+  both directions.
 
 So every *singular* verdict comes from an exact source: a screen or an
 exact elimination.
@@ -91,7 +92,7 @@ class SmoothnessCertificate:
     reason: str | None = None
     rank: int | None = None
     target_rank: int | None = None
-    path: str | None = None            # "rational" | "modular" | "cyclotomic"
+    path: str | None = None            # "modular" | "exact"
     # (indices, path, rank, target_rank) of each component whose rank test
     # built a matrix, when F was split into components; empty otherwise.
     components: tuple[tuple[tuple[int, ...], str, int, int], ...] = ()
@@ -243,20 +244,15 @@ def _macaulay_certificate(F: HomogPoly, entry_cap: int) -> SmoothnessCertificate
             verdict="smooth", method="macaulay_rank",
             reason="degree below 2, a linear form is smooth",
         )
+    fill_cap = max(16 * entry_cap, 10 ** 6)
+    path = None
     try:
         partials, gmons, e, target = _macaulay_system(F, entry_cap)
-    except CapExceededError as exc:
-        return SmoothnessCertificate(
-            verdict="inconclusive", method="macaulay_rank", reason=str(exc),
-        )
-    fill_cap = max(16 * entry_cap, 10 ** 6)
-    rational_coeffs = all(c.is_rational() for p in partials for c in p.terms.values())
-    columns = _macaulay_columns(partials, gmons)
-    path = "modular"
-    try:
+        columns = _macaulay_columns(partials, gmons)
+        path = "modular"
         rank = _macaulay_rank(partials, columns, target, path, fill_cap)
         if rank != target:
-            path = "rational" if rational_coeffs else "cyclotomic"
+            path = "exact"
             rank = _macaulay_rank(partials, columns, target, path, fill_cap)
     except CapExceededError as exc:
         return SmoothnessCertificate(
@@ -307,17 +303,17 @@ def _macaulay_columns(partials, gmons) -> list[list[Monomial]]:
 def _macaulay_rank(partials, columns, target: int, path: str, fill_cap: int) -> int | None:
     """Rank of the Macaulay matrix, stopping at target, along one coefficient path.
 
-    "rational" reads every coefficient as a Fraction, "cyclotomic" keeps the
-    CycloNum values, and "modular" maps them into F_p (see _modular_map).
+    "exact" reads a rational coefficient as its Fraction and keeps any other
+    as its CycloNum; _sparse_rank takes the mixed rows, since Fraction
+    arithmetic with a CycloNum falls through to CycloNum's reflected
+    operators.  "modular" maps the coefficients into F_p (see _modular_map).
     The modular rank is a lower bound for the exact one; it is None when the
     map does not apply or the elimination hits fill_cap, so a caller can only
     take a full modular rank as an answer.  columns holds the rows' keys,
     from _macaulay_columns.
     """
-    if path == "rational":
-        prime, convert = None, lambda c: c.coeffs[0]
-    elif path == "cyclotomic":
-        prime, convert = None, lambda c: c
+    if path == "exact":
+        prime, convert = None, lambda c: c.coeffs[0] if c.is_rational() else c
     else:
         prime, convert = _modular_map(
             [c for p in partials for c in p.terms.values()]
@@ -396,9 +392,9 @@ def _sparse_rank(rows, stop_at: int | None = None, fill_cap: int = 10 ** 7,
     normalized (scaled to lead 1, one inverse) only when it is first used,
     so a pivot that never reduces a row costs no division; a single-entry
     pivot reduces a row by deleting its column, with no arithmetic at all.
-    Entries must be field elements (Fraction or CycloNum, both exact), or,
-    when prime is given, ints in [1, prime) read in F_prime.  Plain int
-    entries without a prime would divide into floats.  Raises
+    Entries must be field elements (Fraction or CycloNum, both exact, mixed
+    freely), or, when prime is given, ints in [1, prime) read in F_prime.
+    Plain int entries without a prime would divide into floats.  Raises
     CapExceededError if the pivot rows hold more than fill_cap entries.
     """
     pivots: dict = {}

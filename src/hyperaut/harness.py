@@ -41,6 +41,7 @@ from .autgrp import (
 )
 from .classify import (
     UnsupportedRangeError,
+    check_degree,
     check_range,
     claims_satisfied,
     classify_instances,
@@ -290,6 +291,7 @@ def audit_row(n: int, d: int, claims, enum_cap: int = DEFAULT_ENUMERATION_CAP,
     _can_reach); the others have a larger codimension, which no claim reads.
     """
     check_range(n, d)
+    check_degree(d)
     audits = [_ClaimAudit.for_claim(claim, n, d, keep_records) for claim in claims]
     codims = frozenset().union(*(audit.codims for audit in audits))
     reach = max(codims, default=0)

@@ -378,6 +378,27 @@ def test_bounds_answer_up_to_the_variable_cap_and_refuse_beyond(capsys):
     assert err == f"error: {MAX_VARS + 1} variables exceed the cap of {MAX_VARS}\n"
 
 
+def test_bounds_and_audit_answer_at_the_degree_cap_and_refuse_beyond(capsys):
+    # d comes from argv, not from a parsed polynomial, so both commands check
+    # it against MAX_DEGREE before any work.
+    code, out, err = run(capsys, "bounds", "30", str(MAX_DEGREE))
+    assert (code, err) == (0, "")
+    assert "codim-2 divisors (thm-1.1):           65024 65025 65280" in out
+    # The audit at the cap answers; its supports with big groups are skipped
+    # by the enumeration cap, which makes the report partial.
+    code, out, err = run(capsys, "audit", "4", str(MAX_DEGREE), "thm-1.1-codim1", "--no-records")
+    assert (code, err) == (4, "")
+    assert "supports: 130 total" in out and "violations: 0" in out
+    assert out.splitlines()[-1] == "PARTIAL: some supports were skipped by the enumeration cap"
+    for d in (MAX_DEGREE + 1, 10 ** 300):
+        for argv in (("bounds", "30", str(d)), ("audit", "2", str(d), "thm-1.1-codim1")):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - start < 0.5
+            assert (code, out) == (4, "")
+            assert err == f"error: degree {d} exceeds the cap of {MAX_DEGREE}\n"
+
+
 @pytest.mark.parametrize("power", [64, 256])
 def test_coefficient_work_above_the_budget_exits_with_code_4(capsys, power):
     start = time.perf_counter()

@@ -132,7 +132,7 @@ def test_smoothness_permutation_equivariant():
         assert smoothness(permute_variables(S, perm)).verdict == "singular"
 
 
-# -- the three coefficient paths of the rank test ----------------------------------
+# -- the two coefficient paths of the rank test ------------------------------------
 
 DELTA_GRID = ((2, 5), (2, 6), (3, 4), (3, 5))
 
@@ -145,12 +145,28 @@ CYCLOTOMIC_FIXTURES = (
     ("z8*X0^4*X1 + (1+z8^3)*X1^4*X2 + X2^4*X3 + z4*X3^4*X0", 4, True),
 )
 
-EXACT_PATHS = ("rational", "cyclotomic")
+EXACT_PATHS = ("exact",)
 
 
 def _rank(F, path):
     partials, gmons, _, target = _macaulay_system(F)
     return _macaulay_rank(partials, _macaulay_columns(partials, gmons), target, path, 10 ** 7), target
+
+
+def _cyclonum_rows(F):
+    # The Macaulay rows with every entry kept as its CycloNum, built here and
+    # not by _macaulay_rank, so they are an independent reference for its paths.
+    partials, gmons, _, target = _macaulay_system(F)
+    rows = [
+        {tuple(a + b for a, b in zip(g, m)): c for m, c in p.terms.items()}
+        for p in partials for g in gmons
+    ]
+    return rows, target
+
+
+def _reference_rank(F):
+    rows, target = _cyclonum_rows(F)
+    return _sparse_rank(rows, fill_cap=10 ** 7), target
 
 
 def _ks_smooth(sigma):
@@ -165,13 +181,13 @@ def test_paths_agree_with_exact_elimination_on_delta_grid():
     for n, d in DELTA_GRID:
         for support in delta_supports(n, d):
             F = support.poly()
-            exact, target = _rank(F, "cyclotomic")
-            assert _rank(F, "rational") == (exact, target), support.name
+            exact, target = _reference_rank(F)
             assert _rank(F, "modular") == (exact, target), support.name
             # The rank kernel: mod p settles the smooth supports, and the
-            # rational elimination rechecks the singular ones.
+            # exact elimination rechecks the singular ones, where its rank
+            # must equal the reference.
             cert = _macaulay_certificate(F, DEFAULT_ENTRY_CAP)
-            assert cert.path == ("modular" if exact == target else "rational")
+            assert cert.path == ("modular" if exact == target else "exact")
             assert (cert.rank, cert.target_rank) == (exact, target)
             assert cert.is_smooth == (exact == target)
             # The line screen fires exactly on the rank-singular supports,
@@ -185,12 +201,13 @@ def test_paths_agree_with_exact_elimination_on_delta_grid():
 def test_paths_agree_with_exact_elimination_on_cyclotomic_fixtures():
     for text, v, smooth in CYCLOTOMIC_FIXTURES:
         F = parse(text, v)
-        exact, target = _rank(F, "cyclotomic")
+        exact, target = _reference_rank(F)
         assert (exact == target) == smooth, text
+        assert _rank(F, "exact") == (exact, target), text
         assert _rank(F, "modular") == (exact, target), text
         cert = _macaulay_certificate(F, DEFAULT_ENTRY_CAP)
         assert cert.is_smooth == smooth
-        assert cert.path == ("modular" if smooth else "cyclotomic")
+        assert cert.path == ("modular" if smooth else "exact")
         assert (cert.rank, cert.target_rank) == (exact, target)
         assert _line_screen(F) is None or not smooth, text
         assert smoothness(F).is_smooth == smooth
@@ -287,7 +304,7 @@ def test_split_certificate_names_the_deciding_component():
     F = parse(LOOP_CUBIC + " + X4^3 + X5^3 + X6^3 - 3*X4*X5*X6", 7)
     assert smoothness(F).verdict == "singular"
     cert = smoothness(F, entry_cap=100)
-    assert (cert.verdict, cert.method, cert.path) == ("singular", "macaulay_rank", "rational")
+    assert (cert.verdict, cert.method, cert.path) == ("singular", "macaulay_rank", "exact")
     assert cert.reason == "on X4, X5, X6: the partial derivatives only span 12 of the 15 degree-4 forms"
     assert (cert.rank, cert.target_rank) == (12, 15)
     # Smooth parts: the loop is still over the cap, and its certificate is
@@ -408,7 +425,7 @@ def test_split_agrees_with_the_whole_rank_test_on_disjoint_sums(F):
 def test_modular_smooth_implies_exact_smooth(F):
     if F.is_zero():
         return
-    exact, target = _rank(F, "cyclotomic")
+    exact, target = _rank(F, "exact")
     modular, _ = _rank(F, "modular")
     if modular is not None:
         assert modular <= exact
@@ -422,7 +439,7 @@ def test_modular_smooth_implies_exact_smooth(F):
 
 
 def test_denominator_divisible_by_p_falls_back_to_exact():
-    for level, path in ((3, "cyclotomic"), (1, "rational")):
+    for level in (3, 1):
         p, _ = _prime_with_root(level)
         F = parse("X0^3 + X1^3 + X2^3", 3) + HomogPoly(
             3, 3, {(1, 1, 1): root_of_unity(level) * Fraction(1, p)}
@@ -430,7 +447,7 @@ def test_denominator_divisible_by_p_falls_back_to_exact():
         assert _rank(F, "modular")[0] is None
         cert = smoothness(F)
         assert cert.verdict == "smooth"
-        assert cert.path == path
+        assert cert.path == "exact"
         assert cert.rank == cert.target_rank
 
 
@@ -491,6 +508,36 @@ def test_line_screen_misses_the_hesse_members_and_the_rank_test_decides():
         assert cert.verdict == "singular"
         assert cert.method == "macaulay_rank"
         assert cert.path in EXACT_PATHS
+
+
+# Singular inputs that both screens miss, each with a named singular point:
+# the Hesse cubic, its -3*z3 twin and the Dwork quartic.
+SCREEN_MISSES = (
+    (HESSE_SINGULAR[0], 3, (rational(1), rational(1), rational(1))),
+    (HESSE_SINGULAR[1], 3, (rational(1), rational(1), root_of_unity(3, 2))),
+    ("X0^4 + X1^4 + X2^4 + X3^4 - 4*X0*X1*X2*X3", 4, (rational(1),) * 4),
+)
+
+
+def _evaluate(F, point):
+    total = rational(0)
+    for mon, c in F.terms.items():
+        for x, e in zip(point, mon):
+            c = c * x ** e
+        total = total + c
+    return total
+
+
+def test_exact_rank_finds_the_singular_points_the_screens_miss():
+    for text, v, point in SCREEN_MISSES:
+        F = parse(text, v)
+        # The oracle: F and every partial vanish at the named point.
+        assert not _evaluate(F, point), text
+        assert not any(_evaluate(F.partial(i), point) for i in range(v)), text
+        assert not F.support_queries().missing_near_power and _line_screen(F) is None
+        cert = smoothness(F)
+        assert (cert.verdict, cert.method, cert.path) == ("singular", "macaulay_rank", "exact")
+        assert cert.rank < cert.target_rank
 
 
 def test_line_screen_reports_a_line_inside_the_singular_locus():
@@ -567,10 +614,16 @@ def _in_field(rows, field):
     if field == "modular":
         return [{c: v % _SMALL_PRIME for c, v in row.items() if v % _SMALL_PRIME}
                 for row in rows], _SMALL_PRIME
+    if field == "mixed":
+        # Fraction and CycloNum entries side by side, as the "exact" path of
+        # the rank test builds them; scaling the odd columns by _W keeps the
+        # rank of the pattern, deficit included.
+        return [{c: _W * v if c % 2 else Fraction(v) for c, v in row.items()}
+                for row in rows], None
     return [{c: _W * v for c, v in row.items()} for row in rows], None
 
 
-@pytest.mark.parametrize("field", ("rational", "modular", "cyclotomic"))
+@pytest.mark.parametrize("field", ("rational", "modular", "cyclotomic", "mixed"))
 def test_sparse_rank_matches_dense_reference(field):
     for pattern in KERNEL_MATRICES:
         rows, prime = _in_field(pattern, field)
@@ -582,11 +635,7 @@ def test_sparse_rank_matches_dense_reference(field):
 
 def test_sparse_rank_on_cyclotomic_macaulay_matrices():
     for text, v, smooth in CYCLOTOMIC_FIXTURES[:2]:
-        partials, gmons, _, target = _macaulay_system(parse(text, v))
-        rows = [
-            {tuple(a + b for a, b in zip(g, m)): c for m, c in p.terms.items()}
-            for p in partials for g in gmons
-        ]
+        rows, target = _cyclonum_rows(parse(text, v))
         rank = _dense_rank(rows)
         assert (rank == target) == smooth
         assert _sparse_rank(rows) == rank
@@ -634,7 +683,7 @@ def test_singular_cyclotomic_certificate_inverts_fewer_than_rank(monkeypatch):
             continue
         calls.clear()
         cert = _macaulay_certificate(parse(text, v), DEFAULT_ENTRY_CAP)
-        assert cert.verdict == "singular" and cert.path == "cyclotomic"
+        assert cert.verdict == "singular" and cert.path == "exact"
         assert 0 < len(calls) < cert.rank
 
 

@@ -1,6 +1,10 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 from itertools import permutations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -246,3 +250,19 @@ def test_oracle_agreement_with_divisor_lists():
                 assert any(x % best == 0 for x in divisors), (
                     n, d, codim, support.name, best,
                 )
+
+
+def test_run_audits_reports_capped_pairs_as_skipped_and_fails():
+    # Neither audit ran: 5:3 has 7 variables, over the delta-enumeration cap,
+    # and 2:300 is over the degree cap.  Each gets skipped rows, no traceback.
+    root = Path(__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "scripts/run_audits.py", "--pairs", "5:3", "2:300"],
+        cwd=root, capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": "src"},
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[1] == " 5  3 thm-1.1-codim1   skipped: delta enumeration is capped at 6 variables"
+    assert lines[-1] == " 2 300 thm-1.1-codim2   skipped: degree 300 exceeds the cap of 256"
+    assert len(lines) == 5 and "Traceback" not in run.stdout + run.stderr
