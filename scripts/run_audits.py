@@ -18,25 +18,34 @@ import sys
 import time
 
 from hyperaut.classify import UnsupportedRangeError
-from hyperaut.harness import audit_row
+from hyperaut.harness import AUDIT_CLAIM_IDS, audit_row
 from hyperaut.poly import CapExceededError
 
-DEFAULT_PAIRS = ["2:5", "2:6", "3:4", "3:5", "4:4", "4:5"]
+DEFAULT_PAIRS = [(2, 5), (2, 6), (3, 4), (3, 5), (4, 4), (4, 5)]
+
+
+def pair(text: str) -> tuple[int, int]:
+    """An n:d pair such as 3:5."""
+    try:
+        n, d = (int(x) for x in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an n:d pair: {text!r}") from None
+    return n, d
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--pairs", nargs="+", default=DEFAULT_PAIRS,
+    parser.add_argument("--pairs", nargs="+", type=pair, default=DEFAULT_PAIRS,
                         help="n:d pairs to audit")
-    parser.add_argument("--claims", nargs="+",
-                        default=["thm-1.1-codim1", "thm-1.1-codim2"])
+    parser.add_argument("--claims", nargs="+", choices=AUDIT_CLAIM_IDS, metavar="CLAIM",
+                        default=["thm-1.1-codim1", "thm-1.1-codim2"],
+                        help=f"claim ids to audit: {', '.join(AUDIT_CLAIM_IDS)}")
     args = parser.parse_args()
 
     failed = False
     print(f"{'n':>2} {'d':>2} {'claim':<16} {'supports':>8} {'smooth':>6} "
           f"{'cases':>6} {'violations':>10} {'time':>7}")
-    for pair in args.pairs:
-        n, d = (int(x) for x in pair.split(":"))
+    for n, d in args.pairs:
         start = time.perf_counter()
         try:
             reports = audit_row(n, d, args.claims, keep_records=False)

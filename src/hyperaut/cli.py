@@ -15,6 +15,7 @@ import json
 import re
 import sys
 from dataclasses import asdict
+from functools import cache
 
 from . import __version__
 from .autgrp import (
@@ -303,7 +304,14 @@ def cmd_audit(args) -> int:
     return EXIT_OK if not report.violations else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.
+
+    parse_args makes a fresh Namespace on each call, and the func defaults
+    look up the library functions they call at call time, so repeated main
+    calls share no state through the parser.
+    """
     parser = argparse.ArgumentParser(
         prog="hyperaut",
         description=(

@@ -42,7 +42,11 @@ recorded in the certificate's `path`:
 - "modular", tried first for every input.  With L the lcm of the coefficient
   levels, zeta_L is sent to an element of order L in F_p for a prime
   p = 1 (mod L).  A full rank mod p proves full rank over Q(zeta_L), so this
-  path only ever certifies *smooth*.
+  path only ever certifies *smooth*.  p is the least prime above 2^29 + 1
+  with p = 1 (mod L), found by the strong-probable-prime (Miller-Rabin) test
+  to the 13 prime bases 2, 3, ..., 41, which is deterministic below
+  psi_13 = 3317044064679887385961981 (Sorenson-Webster 2015); a composite p
+  would make the rank meaningless, so the test refuses larger numbers.
 - "exact": the elimination over Q(zeta_L) itself, run when the modular rank
   falls short, a denominator is divisible by p, or the modular fill-in hits
   its cap.  A rational coefficient enters as its Fraction and any other as
@@ -70,7 +74,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import compress
-from math import comb, isqrt, lcm
+from math import comb, lcm
 from operator import add
 
 from .autgrp import CapExceededError, DiagAut, character
@@ -79,6 +83,10 @@ from .poly import HomogPoly, Monomial, monomials_of_degree
 
 DEFAULT_ENTRY_CAP = 200_000
 _MODULAR_FLOOR = 2 ** 29
+# The first 13 primes, and psi_13: the least composite that is a strong
+# probable prime to all of them (Sorenson-Webster 2015).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 # -- smoothness ----------------------------------------------------------------
@@ -366,7 +374,14 @@ def _modular_map(coeffs):
 
 @lru_cache(maxsize=None)
 def _prime_with_root(level: int) -> tuple[int, int]:
-    """(p, omega): a prime p > 2^29 with p = 1 (mod level), omega of order level."""
+    """(p, omega): a prime p > 2^29 with p = 1 (mod level), omega of order level.
+
+    p is the least prime above 2^29 + 1 that is 1 (mod level), and omega is
+    base^((p-1)/level) for the least base that gives order exactly level.
+    Primality is decided by _is_prime, the Miller-Rabin test to the prime
+    bases 2, ..., 41, exact below psi_13 = 3317044064679887385961981; every
+    level up to 2048 gives p below 5.4 * 10^8.
+    """
     p = (_MODULAR_FLOOR // level + 1) * level + 1
     while not _is_prime(p):
         p += level
@@ -379,7 +394,33 @@ def _prime_with_root(level: int) -> tuple[int, int]:
 
 
 def _is_prime(m: int) -> bool:
-    return m > 1 and all(m % q for q in range(2, isqrt(m) + 1))
+    """Whether m is prime, by the strong-probable-prime test to 2, 3, ..., 41.
+
+    The 13 prime bases in _MILLER_RABIN_BASES decide every m below
+    psi_13 = 3317044064679887385961981 (Jiang-Deng 2014, Sorenson-Webster
+    2015): no composite below it is a strong probable prime to all of them.
+    Raises ValueError for m >= psi_13 rather than guess.
+    """
+    if m >= _MILLER_RABIN_BOUND:
+        raise ValueError(f"{m} is beyond the deterministic Miller-Rabin bound")
+    if m < 2:
+        return False
+    for q in _MILLER_RABIN_BASES:
+        if m % q == 0:
+            return m == q
+    s = ((m - 1) & -(m - 1)).bit_length() - 1    # m - 1 = 2^s * odd
+    odd = (m - 1) >> s
+    for base in _MILLER_RABIN_BASES:
+        x = pow(base, odd, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _sparse_rank(rows, stop_at: int | None = None, fill_cap: int = 10 ** 7,

@@ -7,7 +7,7 @@ enumeration, without the lattice or character shortcuts of the library.
 from collections import deque
 from functools import reduce
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from hyperaut.autgrp import (
     DEFAULT_ENUMERATION_CAP,
@@ -375,3 +375,8 @@ def subset_zheng_integers(n: int, d: int) -> frozenset[int]:
             for b in range(2, n + 3 - s):
                 out.add(reduce(lcm, (chain(a) for a in combo), (d - 1) ** (b - 1)))
     return frozenset(out)
+
+
+def is_prime(m: int) -> bool:
+    """Primality by trial division up to the square root."""
+    return m > 1 and all(m % q for q in range(2, isqrt(m) + 1))

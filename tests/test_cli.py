@@ -407,3 +407,43 @@ def test_coefficient_work_above_the_budget_exits_with_code_4(capsys, power):
     assert time.perf_counter() - start < 1
     assert (code, out) == (4, "")
     assert f"exceeds the budget of {COST_BUDGET}" in err
+
+
+QUINTIC = ("--poly", "X0^5+X1^5+X2^5+X3^5", "--aut", "diag(z5,1,1,1)")
+
+
+def test_one_parser_serves_repeated_main_calls(capsys):
+    parser = cli.build_parser()
+    built = cli.build_parser.cache_info().misses
+    for argv in (("bounds", "2", "5"), ("bounds", "2", "5", "--json"), ("analyze", *QUINTIC)):
+        assert run(capsys, *argv)[0] == 0
+    assert cli.build_parser() is parser
+    assert cli.build_parser.cache_info().misses == built
+
+
+def test_flags_of_one_call_do_not_reach_the_next(capsys):
+    code, out, _ = run(capsys, "analyze", "--json", *QUINTIC)
+    assert code == 0 and json.loads(out)["classification"]["normal_type"] == "I"
+    code, out, _ = run(capsys, "analyze", *QUINTIC)
+    assert code == 0 and "type: I" in out and not out.startswith("{")
+    code, out, _ = run(capsys, "audit", "2", "5", "thm-3.3", "--no-records", "--json")
+    assert code == 0 and json.loads(out)["records"] == []
+    code, out, _ = run(capsys, "audit", "2", "5", "thm-3.3", "--json")
+    assert code == 0 and json.loads(out)["records"]
+
+
+def _exit(capsys, *argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+def test_usage_errors_help_and_version_repeat_after_a_successful_call(capsys):
+    calls = [("analyze", "--poly", "X0^3"), ("--help",), ("analyze", "--help"), ("--version",)]
+    before = [_exit(capsys, *argv) for argv in calls]
+    assert run(capsys, "analyze", "--json", *QUINTIC)[0] == 0
+    assert [_exit(capsys, *argv) for argv in calls] == before
+    assert before[0][0] == 2 and "required: --aut" in before[0][2]
+    assert [code for code, _, _ in before[1:]] == [0, 0, 0]
+    assert before[3][1] == f"{cli.__version__}\n"

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -18,6 +19,7 @@ from hyperaut.geometry import (
     _components,
     _distinct_binary_roots,
     _eigen_pieces,
+    _is_prime,
     _line_screen,
     _macaulay_certificate,
     _macaulay_columns,
@@ -38,6 +40,7 @@ from conftest import fermat
 from oracles import (
     binary_form_from_roots,
     euclid_root_count,
+    is_prime,
     permute_variables,
     projection_degree,
     restrict,
@@ -449,6 +452,50 @@ def test_denominator_divisible_by_p_falls_back_to_exact():
         assert cert.verdict == "smooth"
         assert cert.path == "exact"
         assert cert.rank == cert.target_rank
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [m for m in range(200_000) if _is_prime(m)] == [
+        m for m in range(200_000) if is_prime(m)
+    ]
+
+
+# Strong pseudoprimes psi_4, psi_5, psi_6, psi_8, psi_11 and psi_12: psi_k is
+# the least composite that passes the Miller-Rabin test to the first k prime
+# bases, so each one is caught only by a later base.
+@pytest.mark.parametrize("m", [
+    3215031751, 2152302898747, 3474749660383, 341550071728321,
+    3825123056546413051, 318665857834031151167461,
+])
+def test_is_prime_rejects_strong_pseudoprimes(m):
+    assert not _is_prime(m)
+
+
+def test_is_prime_refuses_numbers_beyond_its_bound():
+    with pytest.raises(ValueError):
+        _is_prime(3317044064679887385961981)
+
+
+def test_prime_with_root_is_the_least_prime_one_mod_the_level():
+    floor = 2 ** 29 + 1
+    assert not is_prime(floor)
+    for level in [*range(1, 257), 840, 1024, 1025, 2047, 2048]:
+        least = next(p for p in range(floor + 1, 2 * floor)
+                     if p % level == 1 % level and is_prime(p))
+        p, omega = _prime_with_root(level)
+        assert p == least, level
+        power, order = omega, 1
+        while power != 1:
+            power, order = power * omega % p, order + 1
+        assert order == level
+
+
+def test_prime_with_root_answers_every_level_fast():
+    _prime_with_root.cache_clear()
+    start = time.perf_counter()
+    for level in range(1, 2049):
+        _prime_with_root(level)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_rational_inputs_try_the_modular_rank_first():

@@ -252,17 +252,33 @@ def test_oracle_agreement_with_divisor_lists():
                 )
 
 
+def _run_audits(*argv):
+    return subprocess.run(
+        [sys.executable, "scripts/run_audits.py", *argv],
+        cwd=Path(__file__).resolve().parents[1], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": "src"},
+    )
+
+
 def test_run_audits_reports_capped_pairs_as_skipped_and_fails():
     # Neither audit ran: 5:3 has 7 variables, over the delta-enumeration cap,
     # and 2:300 is over the degree cap.  Each gets skipped rows, no traceback.
-    root = Path(__file__).resolve().parents[1]
-    run = subprocess.run(
-        [sys.executable, "scripts/run_audits.py", "--pairs", "5:3", "2:300"],
-        cwd=root, capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": "src"},
-    )
+    run = _run_audits("--pairs", "5:3", "2:300")
     assert run.returncode == 1, run.stdout + run.stderr
     lines = run.stdout.splitlines()
     assert lines[1] == " 5  3 thm-1.1-codim1   skipped: delta enumeration is capped at 6 variables"
     assert lines[-1] == " 2 300 thm-1.1-codim2   skipped: degree 300 exceeds the cap of 256"
     assert len(lines) == 5 and "Traceback" not in run.stdout + run.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--pairs", "2-5"], "argument --pairs: not an n:d pair: '2-5'"),
+    (["--pairs", "2:5", "2:5:3"], "argument --pairs: not an n:d pair: '2:5:3'"),
+    (["--pairs", "a:5"], "argument --pairs: not an n:d pair: 'a:5'"),
+    (["--claims", "thm-9"], "argument --claims: invalid choice: 'thm-9'"),
+])
+def test_run_audits_refuses_malformed_pairs_and_unknown_claims(argv, message):
+    run = _run_audits(*argv)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr.startswith("usage: run_audits.py")
+    assert message in run.stderr and "Traceback" not in run.stderr
