@@ -419,21 +419,20 @@ def normal_form_type(g: DiagAut, fix: FixedLocusReport) -> tuple[str, tuple[int,
     return ntype, best.indices, None
 
 
-def _incidence(
-    F: HomogPoly, g: DiagAut, slices, profile, unit
-) -> tuple[NormalizedIncidence, tuple[int, ...]]:
-    """Normalized vertex data of F for the component on the slice unit.
+def _layout(g: DiagAut, slices, unit) -> tuple[int, ...]:
+    """The coordinates in normal-form order for the component on the slice unit.
 
-    slices are the fixed-locus slices of g and profile is F's incidence
-    profile, passed in so that a caller with several components computes
-    them once.  Returns the incidence and the coordinate layout (original
-    indices in normal-form order: non-unit blocks first, larger blocks
-    first, ties by rescaled exponent; unit coordinates last).
+    Non-unit blocks come first, larger blocks first, ties by rescaled
+    exponent; the unit coordinates come last.
     """
     others = [s for s in slices if s is not unit]
     others.sort(key=lambda s: (-len(s.indices), (s.eigen_exp - unit.eigen_exp) % g.level))
-    layout = [i for s in others for i in s.indices] + list(unit.indices)
-    m = sum(len(b.indices) for b in others)
+    return tuple(i for s in others for i in s.indices) + unit.indices
+
+
+def _incidence(F: HomogPoly, profile, layout, m: int) -> NormalizedIncidence:
+    """Normalized vertex data of F for the first m coordinates of a _layout;
+    the rest are the unit block.  profile is F's incidence profile."""
     pos_of = {orig: pos for pos, orig in enumerate(layout)}
     on = []
     block_partners = []
@@ -460,24 +459,31 @@ def _incidence(
         unit_partner.append(up)
     # The block piece (F with the unit coordinates set to zero) vanishes when
     # every monomial involves a unit coordinate.
-    block_piece_zero = all(any(mon[i] for i in unit.indices) for mon in F.terms)
-    incidence = NormalizedIncidence(
+    unit = layout[m:]
+    block_piece_zero = all(any(mon[i] for i in unit) for mon in F.terms)
+    return NormalizedIncidence(
         block_size=m,
         on_vertices=tuple(on),
         block_partners=tuple(block_partners),
         unit_partner=tuple(unit_partner),
         block_piece_zero=block_piece_zero,
     )
-    return incidence, tuple(layout)
 
 
 def classify_instances(
-    F: HomogPoly, g: DiagAut, fix: FixedLocusReport, n: int, d: int
+    F: HomogPoly, g: DiagAut, fix: FixedLocusReport, n: int, d: int,
+    memo: dict | None = None,
 ) -> tuple[ComponentInstance, ...]:
-    """One ComponentInstance per codim <= 2 fixed component of g."""
+    """One ComponentInstance per codim <= 2 fixed component of g.
+
+    Calls on one F may share a memo dict of what depends on F alone: its
+    incidence profile (key None) and each incidence by (layout, block size),
+    since one layout can come from unit blocks of different sizes.
+    """
     if g.is_identity():
         return ()
-    profile = None
+    if memo is None:
+        memo = {}
     out = []
     for s in component_candidates(fix):
         if s.dim >= n:
@@ -485,19 +491,22 @@ def classify_instances(
         ntype = _type_without(fix.slices, s)
         if ntype == OUT_OF_SCOPE:
             continue
-        if profile is None:
-            profile = F.support_queries()
-        incidence, layout = _incidence(F, g, fix.slices, profile, s)
-        claims = branch_claims(ntype, n, d, incidence)
+        layout = _layout(g, fix.slices, s)
+        m = len(layout) - len(s.indices)
+        incidence = memo.get((layout, m))
+        if incidence is None:
+            if None not in memo:
+                memo[None] = F.support_queries()
+            incidence = memo[layout, m] = _incidence(F, memo[None], layout, m)
         out.append(
             ComponentInstance(
                 normal_type=ntype,
                 unit_indices=s.indices,
-                block_indices=tuple(layout[: incidence.block_size]),
+                block_indices=layout[:m],
                 slice_dim=s.dim,
                 codim=n - s.dim,
                 incidence=incidence,
-                claims=claims,
+                claims=branch_claims(ntype, n, d, incidence),
             )
         )
     return tuple(out)

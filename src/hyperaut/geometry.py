@@ -63,9 +63,11 @@ counted by the binary gcd of the line screen: the distinct roots of the
 piece f number deg f minus the degree of the gcd of its two partials, with
 Fraction arithmetic when f is rational.  A slice depends only on F and its
 block of coordinates, so fixed_loci computes each block's slice once for all
-the elements of one F.  The resulting FixedLocusReport is the one record of
-g's eigenspaces: normal-form typing, the branch incidence and the Galois
-criterion below all read blocks, exponents and containment from its slices.
+the elements of one F.  A slice's dimension needs only F's support, so
+fixed_codims gives g's codimension without building a report.  The
+FixedLocusReport is the one record of g's eigenspaces: normal-form typing,
+the branch incidence and the Galois criterion below all read blocks,
+exponents and containment from its slices.
 """
 
 from __future__ import annotations
@@ -590,17 +592,46 @@ def _fixed_locus(F: HomogPoly, g: DiagAut, memo: dict) -> FixedLocusReport:
     )
 
 
+def fixed_codims(F: HomogPoly, elements):
+    """Yield fixed_locus(F, g).codim_in_x for each g in elements, in order.
+
+    Read off F's support alone: a block's piece vanishes when no monomial's
+    variables lie in the block (_slice_dim), decided once per block as
+    bitmasks.  Unlike fixed_loci, it does not check semi-invariance.
+    """
+    n = F.num_vars - 2
+    masks = {sum(1 << i for i, e in enumerate(mon) if e) for mon in F.terms}
+    dims: dict[int, int] = {}
+    for g in elements:
+        blocks: dict[int, int] = {}
+        for i, e in enumerate(g.exps):
+            blocks[e] = blocks.get(e, 0) | 1 << i
+        for block in blocks.values():
+            if block not in dims:
+                zero = all(m & block != m for m in masks)
+                dims[block] = _slice_dim(block.bit_count(), zero)
+        best = max(dims[block] for block in blocks.values())
+        yield None if best < 0 else n - best
+
+
+def _slice_dim(size: int, restriction_zero: bool) -> int:
+    """Dimension of X meet P(W) for a block of size coordinates, -1 if empty:
+    P(W) when F's piece on the block vanishes, else a hypersurface in P(W)."""
+    return size - 1 if restriction_zero else size - 2
+
+
 def _slice_data(F: HomogPoly, indices: tuple[int, ...], piece):
     """(ambient_dim, restriction_zero, dim, point_count) of F's slice on a block."""
     ambient = len(indices) - 1
+    dim = _slice_dim(len(indices), not piece)
     if not piece:
-        return ambient, True, ambient, 1 if ambient == 0 else None
+        return ambient, True, dim, 1 if ambient == 0 else None
     if ambient == 0:
-        return ambient, False, -1, 0
+        return ambient, False, dim, 0
     count = None
     if ambient == 1:
         count = _distinct_binary_roots(HomogPoly(F.num_vars, F.degree, piece), *indices)
-    return ambient, False, ambient - 1, count
+    return ambient, False, dim, count
 
 
 def _eigen_pieces(F: HomogPoly, blocks) -> list[dict[Monomial, CycloNum]]:

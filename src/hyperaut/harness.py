@@ -19,12 +19,12 @@ The audit sweep skips two kinds of work that need no arithmetic:
   Every other support still gets the exact certificate of
   geometry.smoothness, so a singular or inconclusive verdict never comes
   from sigma.
-- g's fixed locus is the union of X cap P(V) over its eigenspaces V.  For
-  dim V = k, X cap P(V) is P(V) or a hypersurface in it, of dimension at
-  most k - 1, so its codimension in the n-fold X is at least n - k + 1.  An
-  element whose largest eigenvalue multiplicity is below n - c + 1 has
-  codimension above c, and when c is the largest codimension any claim
-  selects, its fixed locus is not computed.
+- g's fixed locus is the union of X cap P(V) over its eigenspaces V, each
+  spanned by a block I of coordinates.  X cap P(V) is P(V), of dimension
+  |I| - 1, when no monomial of F lies in the variables of I, and a
+  hypersurface in it, of dimension |I| - 2, otherwise.  So the codimension
+  in the n-fold X is read off the support (geometry.fixed_codims), and an
+  element whose codimension no claim selects gets no fixed-locus report.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .classify import (
     classify_instances,
     theorem11_claims,
 )
-from .geometry import fixed_loci, smoothness
+from .geometry import fixed_codims, fixed_loci, smoothness
 from .poly import HomogPoly, Monomial
 
 MAX_DELTA_VARS = 6
@@ -286,15 +286,14 @@ def audit_row(n: int, d: int, claims, enum_cap: int = DEFAULT_ENUMERATION_CAP,
 
     An invertible support (DeltaSupport.invertible) is recorded smooth
     without geometry.smoothness; every other one gets its exact certificate.
-    An element goes to fixed_loci only when its largest eigenspace is big
-    enough to meet X in the largest codimension the claims select (see
-    _can_reach); the others have a larger codimension, which no claim reads.
+    An element goes to fixed_loci only when its codimension, read off the
+    support by geometry.fixed_codims, is one the claims select.  The
+    classifications of one support share a memo of what depends on F alone.
     """
     check_range(n, d)
     check_degree(d)
     audits = [_ClaimAudit.for_claim(claim, n, d, keep_records) for claim in claims]
     codims = frozenset().union(*(audit.codims for audit in audits))
-    reach = max(codims, default=0)
 
     supports = delta_supports(n, d)
     by_verdict: dict[str, list[str]] = {"smooth": [], "singular": [], "inconclusive": []}
@@ -311,12 +310,11 @@ def audit_row(n: int, d: int, claims, enum_cap: int = DEFAULT_ENUMERATION_CAP,
         except CapExceededError:
             capped.append(support.name)
             continue
-        moving = [g for g in elements if not g.is_identity() and _can_reach(g, n, reach)]
-        for g, fix in zip(moving, fixed_loci(F, moving)):
-            if fix.codim_in_x not in codims:
-                continue
+        picked = [g for g, c in zip(elements, fixed_codims(F, elements)) if c in codims]
+        memo: dict = {}
+        for g, fix in zip(picked, fixed_loci(F, picked)):
             order = g.order_in_pgl()
-            instances = classify_instances(F, g, fix, n, d)
+            instances = classify_instances(F, g, fix, n, d, memo)
             for audit in audits:
                 audit.take(support.name, g, order, fix.codim_in_x, instances)
     inconclusive = tuple(by_verdict["inconclusive"])
@@ -331,15 +329,6 @@ def audit_row(n: int, d: int, claims, enum_cap: int = DEFAULT_ENUMERATION_CAP,
                     max_order_by_type=dict(sorted(audit.max_orders.items())), **row)
         for audit in audits
     )
-
-
-def _can_reach(g: DiagAut, n: int, codim: int) -> bool:
-    """Whether g's fixed locus on an n-fold can have codimension <= codim.
-
-    An eigenspace of dimension k meets X in codimension at least n - k + 1,
-    so that needs one of multiplicity at least n - codim + 1.
-    """
-    return max(map(g.exps.count, g.exps)) >= n - codim + 1
 
 
 def audit_theorem(n: int, d: int, claim: str, enum_cap: int = DEFAULT_ENUMERATION_CAP,

@@ -47,6 +47,27 @@ def restrict(F: HomogPoly, zero_set) -> HomogPoly:
     return HomogPoly(F.num_vars, F.degree, terms)
 
 
+def fixed_codim(F: HomogPoly, g: DiagAut) -> int | None:
+    """Codimension in X of g's fixed locus, None when it is empty.
+
+    The fixed locus is the union of X meet P(W) over g's eigenspaces W, each
+    spanned by one block of coordinates with equal exponents.  Setting the
+    other coordinates to zero restricts F to P(W): when that gives the zero
+    polynomial, P(W) lies in X and has dimension |block| - 1; otherwise X
+    meets P(W) in a hypersurface of it, of dimension |block| - 2 (-1, empty,
+    when P(W) is a point).
+    """
+    blocks: dict[int, list[int]] = {}
+    for i, e in enumerate(g.exps):
+        blocks.setdefault(e, []).append(i)
+    best = -1
+    for block in blocks.values():
+        outside = [i for i in range(F.num_vars) if i not in block]
+        contained = restrict(F, outside).is_zero()
+        best = max(best, len(block) - 1 if contained else len(block) - 2)
+    return None if best < 0 else F.num_vars - 2 - best
+
+
 def projection_degree(F: HomogPoly, r_plane, complement) -> int:
     """Degree of the projection of X from the pair of coordinate subspaces.
 

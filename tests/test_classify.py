@@ -26,7 +26,7 @@ from hyperaut.classify import (
     zheng_integers,
 )
 from hyperaut.geometry import fixed_locus
-from hyperaut.harness import delta_supports, example_witness
+from hyperaut.harness import DeltaSupport, delta_supports, example_witness
 from hyperaut.poly import CapExceededError, MAX_VARS, parse
 
 from conftest import fermat
@@ -202,6 +202,23 @@ def test_classify_instances_cover_multiple_components():
     assert instances
     for inst in instances:
         assert claims_satisfied(inst.claims, g.order_in_pgl(), 3)
+
+
+def test_a_shared_memo_tells_one_layout_with_two_unit_blocks_apart():
+    # On sigma=0012 at 2:5 both elements order the coordinates (2, 3, 0, 1):
+    # g with the unit block (0, 1), h with the unit block (1,).  A memo keyed
+    # on the layout alone hands the second call the first one's incidence.
+    F = DeltaSupport(4, 5, (0, 0, 1, 2)).poly()
+    g, h = DiagAut(64, (4, 4, 20, 0)), DiagAut(64, (7, 23, 35, 0))
+    fresh = {x: classify_instances(F, x, fixed_locus(F, x), 2, 5) for x in (g, h)}
+    first, second = fresh[g][0], fresh[h][0]
+    assert (first.unit_indices, second.unit_indices) == ((0, 1), (1,))
+    assert first.block_indices + first.unit_indices == (2, 3, 0, 1)
+    assert second.block_indices + second.unit_indices == (2, 3, 0, 1)
+    for order in ((g, h), (h, g)):
+        memo: dict = {}
+        for x in order:
+            assert classify_instances(F, x, fixed_locus(F, x), 2, 5, memo) == fresh[x]
 
 
 # -- numeric bound generators -------------------------------------------------------

@@ -10,20 +10,19 @@ import pytest
 
 from hyperaut import geometry, harness
 from hyperaut.autgrp import CapExceededError, DiagAut, enumerate_elements, symmetry_group
-from hyperaut.classify import theorem11_divisors
-from hyperaut.geometry import fixed_loci, fixed_locus, smoothness
+from hyperaut.classify import classify_instances, theorem11_divisors
+from hyperaut.geometry import fixed_codims, fixed_loci, fixed_locus, smoothness
 from hyperaut.harness import (
     AUDIT_CLAIM_IDS,
-    _can_reach,
     audit_row,
     audit_theorem,
     delta_supports,
     example_witness,
 )
-from hyperaut.poly import parse
+from hyperaut.poly import HomogPoly, parse
 
 from conftest import fermat
-from oracles import brute_force_max_order
+from oracles import brute_force_max_order, fixed_codim
 
 
 def test_delta_support_counts():
@@ -156,19 +155,64 @@ def test_one_sweep_gives_each_claim_its_single_claim_report(monkeypatch):
         assert report.cases_examined > 0, claim
 
 
-def test_the_element_filter_keeps_every_element_of_codim_at_most_c():
-    # _can_reach drops an element before fixed_loci; it must keep each one
-    # whose fixed locus does have codimension <= c.
+def _smooth_delta_groups():
+    """(n, d, F, non-identity elements) for each smooth delta support through 4:5."""
     for n, d in ((2, 5), (2, 6), (3, 4), (3, 5), (4, 4), (4, 5)):
         for support in delta_supports(n, d):
-            if not support.invertible:
-                continue
-            group = symmetry_group(support.monomials(), support.num_vars)
-            moving = [g for g in enumerate_elements(group) if not g.is_identity()]
-            for g, fix in zip(moving, fixed_loci(support.poly(), moving)):
-                for c in (1, 2):
-                    if fix.codim_in_x is not None and fix.codim_in_x <= c:
-                        assert _can_reach(g, n, c), (support.name, g, c)
+            F = support.poly()
+            if support.invertible or smoothness(F).is_smooth:
+                group = symmetry_group(support.monomials(), support.num_vars)
+                yield n, d, F, [g for g in enumerate_elements(group) if not g.is_identity()]
+
+
+def test_the_codim_rule_is_the_fixed_locus_codimension():
+    # audit_row sends an element to fixed_loci only when fixed_codims puts
+    # it in a claimed codimension, so the rule must be exact, on invertible
+    # supports and the others alike, and agree with the oracle's restatement.
+    elements = 0
+    for n, d, F, moving in _smooth_delta_groups():
+        codims = list(fixed_codims(F, moving))
+        assert codims == [fix.codim_in_x for fix in fixed_loci(F, moving)], (n, d, F)
+        assert codims == [fixed_codim(F, g) for g in moving], (n, d, F)
+        elements += len(moving)
+    assert elements > 50_000
+
+
+def test_the_sweep_memo_changes_no_classification():
+    # One memo per support, shared in sweep order by the codim 1 and 2 cases.
+    cases = 0
+    for n, d, F, moving in _smooth_delta_groups():
+        memo: dict = {}
+        for g, fix in zip(moving, fixed_loci(F, moving)):
+            if fix.codim_in_x in (1, 2):
+                shared = classify_instances(F, g, fix, n, d, memo)
+                assert shared == classify_instances(F, g, fix, n, d), (F, g)
+                cases += 1
+    assert cases > 5_000
+
+
+def test_audit_reads_the_incidence_profile_once_per_support(monkeypatch):
+    # Smoothness may read F's profile first; after fixed_loci starts on F,
+    # classification reads it at most once however many cases F has.
+    supports = []
+    calls = Counter()
+    loci, queries = harness.fixed_loci, HomogPoly.support_queries
+
+    def tracking(F, elements):
+        supports.append(F)
+        return loci(F, elements)
+
+    def counted(F):
+        if supports and F is supports[-1]:
+            calls[len(supports)] += 1
+        return queries(F)
+
+    monkeypatch.setattr(harness, "fixed_loci", tracking)
+    monkeypatch.setattr(HomogPoly, "support_queries", counted)
+    reports = audit_row(3, 4, AUDIT_CLAIM_IDS)
+    assert len(supports) == reports[0].supports_smooth == 16
+    assert calls and max(calls.values()) == 1
+    assert sum(r.cases_examined for r in reports) > 10 * len(calls)
 
 
 def test_audit_counts_the_points_of_each_line_slice_once_per_support(monkeypatch):
